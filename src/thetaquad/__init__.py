@@ -13,6 +13,7 @@ force.
 from __future__ import annotations
 
 from .bounds import (
+    CERTIFICATES,
     CertificateKind,
     DerivativeBand,
     ErrorCertificate,
@@ -24,6 +25,7 @@ from .bounds import (
     bound_one_sided_odd,
     bound_perturbed_even,
     bound_sharp,
+    certify,
     sigma_functional,
 )
 from .errors import (
@@ -103,6 +105,8 @@ __all__ = [
     "bound_one_sided_odd",
     "bound_perturbed_even",
     "bound_sharp",
+    "CERTIFICATES",
+    "certify",
     "sigma_functional",
     # integrate
     "CompositeResult",

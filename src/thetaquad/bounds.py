@@ -21,7 +21,8 @@ SharpOdd/SharpEven  best-constant bound via sigma(f^(n))           by parity
 ==================  =============================================  =========
 
 F_n is the corrected rule value; I the true integral; sigma(g) the squared
-l2 norm of g minus (b-a) times its squared mean.
+l2 norm of g minus (b-a) times its squared mean.  ``certify`` builds any of
+them from a certificate name in CERTIFICATES.
 """
 
 from __future__ import annotations
@@ -34,11 +35,10 @@ from dataclasses import dataclass
 from .errors import ValidationError
 from .kernel import (
     RuleSpec,
-    centered_factor,
+    closed_abs_integral,
     closed_max_abs,
     kernel_centered_max_closed,
     l2_bracket,
-    sup_bracket,
 )
 from .rules import Integrand
 
@@ -55,6 +55,8 @@ __all__ = [
     "bound_one_sided_odd",
     "bound_perturbed_even",
     "bound_sharp",
+    "CERTIFICATES",
+    "certify",
     "sigma_functional",
 ]
 
@@ -155,93 +157,59 @@ class ErrorCertificate:
             raise ValidationError(f"unexpected rigor value {self.rigor!r}")
 
 
-def _rigor(provenance: str) -> str:
-    return "heuristic-inputs" if provenance == "sampled-heuristic" else "rigorous"
+def _certificate(
+    theorem: CertificateKind,
+    spec: RuleSpec,
+    bound: float,
+    norms: NormData | None = None,
+    band: DerivativeBand | None = None,
+    covers_perturbed_rule: bool = False,
+) -> ErrorCertificate:
+    heuristic = norms is not None and norms.provenance == "sampled-heuristic"
+    return ErrorCertificate(
+        bound=bound,
+        theorem=theorem,
+        spec=spec,
+        norms=norms,
+        band=band,
+        covers_perturbed_rule=covers_perturbed_rule,
+        rigor="heuristic-inputs" if heuristic else "rigorous",
+    )
 
 
-def _check_norm(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value < 0.0:
-        raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
-    return value
-
-
-def _check_provenance(provenance: str) -> str:
-    if provenance not in PROVENANCES:
-        raise ValidationError(
-            f"provenance must be one of {PROVENANCES}, got {provenance!r}"
-        )
-    return provenance
+def _l2_coefficient(spec: RuleSpec, bracket: float) -> float:
+    """(b-a)^(n+1/2) / (n! 2^n) * sqrt(bracket / ((2n+1)(2n-1)))."""
+    n = spec.n
+    return (
+        spec.width ** (n + 0.5)
+        / (math.factorial(n) * 2.0**n)
+        * math.sqrt(bracket / ((2 * n + 1) * (2 * n - 1)))
+    )
 
 
 def bound_l1(
     spec: RuleSpec, norm1: float, provenance: str = "user-supplied"
 ) -> ErrorCertificate:
     """|I - F_n| <= sup|K| * ||f^(n)||_1."""
-    norm1 = _check_norm("norm1", norm1)
-    provenance = _check_provenance(provenance)
-    return ErrorCertificate(
-        bound=closed_max_abs(spec) * norm1,
-        theorem=CertificateKind.L1,
-        spec=spec,
-        norms=NormData(l1=norm1, provenance=provenance),
-        band=None,
-        covers_perturbed_rule=False,
-        rigor=_rigor(provenance),
-    )
+    norms = NormData(l1=norm1, provenance=provenance)
+    return _certificate(CertificateKind.L1, spec, closed_max_abs(spec) * norm1, norms)
 
 
 def bound_l2(
     spec: RuleSpec, norm2: float, provenance: str = "user-supplied"
 ) -> ErrorCertificate:
     """|I - F_n| <= ||K||_2 * ||f^(n)||_2, with ||K||_2 in closed form."""
-    norm2 = _check_norm("norm2", norm2)
-    provenance = _check_provenance(provenance)
-    n = spec.n
-    coeff = (
-        spec.width ** (n + 0.5)
-        / (math.factorial(n) * 2.0**n)
-        * math.sqrt(l2_bracket(n, spec.theta) / ((2 * n + 1) * (2 * n - 1)))
-    )
-    return ErrorCertificate(
-        bound=coeff * norm2,
-        theorem=CertificateKind.L2,
-        spec=spec,
-        norms=NormData(l2=norm2, provenance=provenance),
-        band=None,
-        covers_perturbed_rule=False,
-        rigor=_rigor(provenance),
-    )
-
-
-def _sup_coefficient(spec: RuleSpec) -> float:
-    n = spec.n
-    return (
-        spec.width ** (n + 1)
-        / (math.factorial(n + 1) * 2.0**n)
-        * sup_bracket(n, spec.theta)
-    )
+    norms = NormData(l2=norm2, provenance=provenance)
+    coeff = _l2_coefficient(spec, l2_bracket(spec.n, spec.theta))
+    return _certificate(CertificateKind.L2, spec, coeff * norm2, norms)
 
 
 def bound_linf(
     spec: RuleSpec, norminf: float, provenance: str = "user-supplied"
 ) -> ErrorCertificate:
-    """|I - F_n| <= int|K| * ||f^(n)||_inf.
-
-    The coefficient is (b-a)^(n+1) / ((n+1)! 2^n) times theta(n+1) - 1 when
-    theta n >= 1 and 2 theta^(n+1) n^n - theta(n+1) + 1 otherwise.
-    """
-    norminf = _check_norm("norminf", norminf)
-    provenance = _check_provenance(provenance)
-    return ErrorCertificate(
-        bound=_sup_coefficient(spec) * norminf,
-        theorem=CertificateKind.LINF,
-        spec=spec,
-        norms=NormData(linf=norminf, provenance=provenance),
-        band=None,
-        covers_perturbed_rule=False,
-        rigor=_rigor(provenance),
-    )
+    """|I - F_n| <= int|K| * ||f^(n)||_inf, with int|K| from the kernel module."""
+    norms = NormData(linf=norminf, provenance=provenance)
+    return _certificate(CertificateKind.LINF, spec, closed_abs_integral(spec) * norminf, norms)
 
 
 def bound_band_odd(spec: RuleSpec, band: DerivativeBand) -> ErrorCertificate:
@@ -255,33 +223,38 @@ def bound_band_odd(spec: RuleSpec, band: DerivativeBand) -> ErrorCertificate:
     if not (math.isfinite(band.gamma) and math.isfinite(band.Gamma)):
         raise ValidationError("the two-sided band bound needs finite gamma and Gamma")
     half_width = 0.5 * (band.Gamma - band.gamma)
-    return ErrorCertificate(
-        bound=half_width * _sup_coefficient(spec),
-        theorem=CertificateKind.BAND_ODD,
-        spec=spec,
-        norms=None,
-        band=band,
-        covers_perturbed_rule=False,
-        rigor="rigorous",
+    return _certificate(
+        CertificateKind.BAND_ODD, spec, half_width * closed_abs_integral(spec), band=band
     )
 
 
-def _one_sided_gap(side: str, band_edge: float, rate: float) -> float:
+def _one_sided(
+    spec: RuleSpec, side: str, band_edge: float, rate: float, perturbed: bool
+) -> ErrorCertificate:
+    """|rate - edge| (b-a) times sup|K|, or the centered sup for the perturbed rule."""
     if side not in ("lower", "upper"):
         raise ValidationError(f"side must be 'lower' or 'upper', got {side!r}")
     if not math.isfinite(band_edge) or not math.isfinite(rate):
         raise ValidationError("band_edge and endpoint_diff_rate must be finite")
-    if side == "lower" and rate < band_edge:
+    if (rate < band_edge) if side == "lower" else (band_edge < rate):
         raise ValidationError(
-            f"lower bound requires endpoint_diff_rate >= band_edge "
-            f"(got rate={rate!r} < gamma={band_edge!r})"
+            f"a {side} band edge {band_edge!r} must lie on the {side} side of "
+            f"endpoint_diff_rate {rate!r}"
         )
-    if side == "upper" and band_edge < rate:
-        raise ValidationError(
-            f"upper bound requires band_edge >= endpoint_diff_rate "
-            f"(got Gamma={band_edge!r} < rate={rate!r})"
-        )
-    return abs(rate - band_edge)
+    sup = kernel_centered_max_closed(spec) if perturbed else closed_max_abs(spec)
+    if side == "lower":
+        band = DerivativeBand(gamma=band_edge, Gamma=math.inf, order=spec.n)
+    else:
+        band = DerivativeBand(gamma=-math.inf, Gamma=band_edge, order=spec.n)
+    family = "PERTURBED_EVEN" if perturbed else "ONE_SIDED_ODD"
+    return _certificate(
+        CertificateKind[f"{family}_{side.upper()}"],
+        spec,
+        abs(rate - band_edge) * spec.width * sup,
+        NormData(endpoint_diff_rate=rate),
+        band,
+        covers_perturbed_rule=perturbed,
+    )
 
 
 def bound_one_sided_odd(
@@ -295,23 +268,7 @@ def bound_one_sided_odd(
     """
     if spec.n % 2 != 1:
         raise ValidationError("the one-sided bound applies to odd n only")
-    gap = _one_sided_gap(side, band_edge, endpoint_diff_rate)
-    bound = gap * spec.width * closed_max_abs(spec)
-    if side == "lower":
-        kind = CertificateKind.ONE_SIDED_ODD_LOWER
-        band = DerivativeBand(gamma=band_edge, Gamma=math.inf, order=spec.n)
-    else:
-        kind = CertificateKind.ONE_SIDED_ODD_UPPER
-        band = DerivativeBand(gamma=-math.inf, Gamma=band_edge, order=spec.n)
-    return ErrorCertificate(
-        bound=bound,
-        theorem=kind,
-        spec=spec,
-        norms=NormData(endpoint_diff_rate=endpoint_diff_rate),
-        band=band,
-        covers_perturbed_rule=False,
-        rigor="rigorous",
-    )
+    return _one_sided(spec, side, band_edge, endpoint_diff_rate, perturbed=False)
 
 
 def bound_perturbed_even(
@@ -324,23 +281,7 @@ def bound_perturbed_even(
     """
     if spec.n % 2 != 0:
         raise ValidationError("the perturbed bound applies to even n only")
-    gap = _one_sided_gap(side, band_edge, endpoint_diff_rate)
-    bound = gap * spec.width * kernel_centered_max_closed(spec)
-    if side == "lower":
-        kind = CertificateKind.PERTURBED_EVEN_LOWER
-        band = DerivativeBand(gamma=band_edge, Gamma=math.inf, order=spec.n)
-    else:
-        kind = CertificateKind.PERTURBED_EVEN_UPPER
-        band = DerivativeBand(gamma=-math.inf, Gamma=band_edge, order=spec.n)
-    return ErrorCertificate(
-        bound=bound,
-        theorem=kind,
-        spec=spec,
-        norms=NormData(endpoint_diff_rate=endpoint_diff_rate),
-        band=band,
-        covers_perturbed_rule=True,
-        rigor="rigorous",
-    )
+    return _one_sided(spec, side, band_edge, endpoint_diff_rate, perturbed=True)
 
 
 def bound_sharp(
@@ -354,40 +295,77 @@ def bound_sharp(
     a scalar multiple of K (plus a constant in the even case), which is what
     the sharpness harness reconstructs.
     """
-    sigma = _check_norm("sigma", sigma)
-    provenance = _check_provenance(provenance)
+    norms = NormData(sigma=sigma, provenance=provenance)
     n = spec.n
-    w = spec.width
-    if n % 2 == 1:
-        coeff = (
-            w ** (n + 0.5)
-            / (math.factorial(n) * 2.0**n)
-            * math.sqrt(l2_bracket(n, spec.theta) / ((2 * n + 1) * (2 * n - 1)))
-        )
-        kind = CertificateKind.SHARP_ODD
-        covers = False
-    else:
+    bracket = l2_bracket(n, spec.theta)
+    even = n % 2 == 0
+    if even:
         m = n // 2
-        bracket = l2_bracket(n, spec.theta) - (16 * m * m - 1) * (
-            1.0 / (2 * m + 1) - spec.theta
-        ) ** 2
+        bracket -= (16 * m * m - 1) * (1.0 / (2 * m + 1) - spec.theta) ** 2
         bracket = max(bracket, 0.0)  # guard roundoff at near-degenerate theta
-        coeff = (
-            w ** (2 * m + 0.5)
-            / (math.factorial(2 * m) * 2.0 ** (2 * m))
-            * math.sqrt(bracket / ((4 * m + 1) * (4 * m - 1)))
+    kind = CertificateKind.SHARP_EVEN if even else CertificateKind.SHARP_ODD
+    coeff = _l2_coefficient(spec, bracket)
+    return _certificate(kind, spec, coeff * math.sqrt(sigma), norms, covers_perturbed_rule=even)
+
+
+#: Certificate name -> the NormData field it consumes.  "band" also needs a
+#: DerivativeBand; its field, the mean rate of f^(n), is read for even n only.
+CERTIFICATES = {
+    "l1": "l1",
+    "l2": "l2",
+    "linf": "linf",
+    "band": "endpoint_diff_rate",
+    "sharp": "sigma",
+}
+
+
+def _datum(spec: RuleSpec, kind: str, norms: NormData | None) -> float:
+    field = CERTIFICATES[kind]
+    value = None if norms is None else getattr(norms, field)
+    if value is None:
+        raise ValidationError(f"certificate {kind!r} at n={spec.n} needs NormData.{field}")
+    return value
+
+
+def certify(
+    spec: RuleSpec,
+    kind: str,
+    norms: NormData | None = None,
+    band: DerivativeBand | None = None,
+    rate: float | None = None,
+) -> ErrorCertificate:
+    """The certificate named ``kind`` (a key of CERTIFICATES) for ``spec``.
+
+    Norm kinds read their NormData field and keep its provenance.  "band"
+    gives the two-sided bound for odd n; for even n it gives the tighter
+    valid side of the perturbed one-sided bound, with ``rate`` (default
+    ``norms.endpoint_diff_rate``) as the mean of f^(n).
+    """
+    if kind not in CERTIFICATES:
+        raise ValidationError(
+            f"unknown certificate kind {kind!r}; expected one of {tuple(CERTIFICATES)}"
         )
-        kind = CertificateKind.SHARP_EVEN
-        covers = True
-    return ErrorCertificate(
-        bound=coeff * math.sqrt(sigma),
-        theorem=kind,
-        spec=spec,
-        norms=NormData(sigma=sigma, provenance=provenance),
-        band=None,
-        covers_perturbed_rule=covers,
-        rigor=_rigor(provenance),
-    )
+    if kind != "band":
+        # Looked up per call, so a rebound module-level bound_* is the one called.
+        bound = {"l1": bound_l1, "l2": bound_l2, "linf": bound_linf, "sharp": bound_sharp}
+        return bound[kind](spec, _datum(spec, kind, norms), norms.provenance)
+    if band is None:
+        raise ValidationError("certificate 'band' needs a DerivativeBand")
+    if spec.n % 2 == 1:
+        return bound_band_odd(spec, band)
+    if rate is None:
+        rate = _datum(spec, kind, norms)
+    sides = []
+    if math.isfinite(band.gamma) and rate >= band.gamma:
+        sides.append(bound_perturbed_even(spec, "lower", band.gamma, rate))
+    if math.isfinite(band.Gamma) and band.Gamma >= rate:
+        sides.append(bound_perturbed_even(spec, "upper", band.Gamma, rate))
+    if not sides:
+        raise ValidationError(
+            f"no valid side for the even-n band certificate: the rate {rate!r} "
+            "violates the supplied band"
+        )
+    return min(sides, key=lambda cert: cert.bound)
 
 
 def sigma_functional(

@@ -23,17 +23,17 @@ import sys
 
 import argparse
 
-from . import bounds as bounds_mod
+from .bounds import CERTIFICATES, DerivativeBand, ErrorCertificate, NormData, certify
 from .errors import ConvergenceError, ThetaQuadError, ValidationError
 from .functions import AnalyticFunction, parse_function
 from .integrate import (
     DEFAULT_ORACLE_TOL,
+    _rule_panels,
     composite_integrate,
     reference_integral,
     sharpness_check,
-    true_error,
 )
-from .kernel import RuleSpec, kernel_stats_brute, kernel_stats_closed
+from .kernel import KernelStats, RuleSpec, kernel_stats_brute, kernel_stats_closed
 from .rules import apply_rule, preset
 
 __all__ = ["run_cli", "main"]
@@ -41,8 +41,6 @@ __all__ = ["run_cli", "main"]
 SCHEMA_VERSION = "1"
 
 ORACLE_TOL_ENV = "THETAQUAD_ORACLE_TOL"
-
-BOUND_CHOICES = ("l1", "l2", "linf", "band", "sharp")
 
 
 def _oracle_tol() -> float:
@@ -85,9 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gamma", type=float, help="lower band edge of f^(n)")
         p.add_argument("--Gamma", dest="Gamma", type=float, help="upper band edge of f^(n)")
         p.add_argument("--sigma", type=float, help="sigma(f^(n)) override")
-        p.add_argument(
-            "--rate", type=float, help="endpoint difference rate of f^(n-1) override"
-        )
 
     p_int = sub.add_parser("integrate", help="composite rule value, certificate, true error")
     p_int.add_argument("--f", required=True, help="integrand: exp | sin | runge | poly:c0,c1,...")
@@ -99,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="include the even-n perturbation term in the rule value",
     )
-    p_int.add_argument("--bound", choices=BOUND_CHOICES, help="certificate kind")
+    p_int.add_argument("--bound", choices=tuple(CERTIFICATES), help="certificate kind")
     add_norm_flags(p_int)
     p_int.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -107,8 +102,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_bnd.add_argument("--f", help="integrand supplying exact norms when flags are absent")
     add_interval(p_bnd)
     add_theta(p_bnd, with_rule=True)
-    p_bnd.add_argument("--bound", choices=BOUND_CHOICES, required=True)
+    p_bnd.add_argument("--bound", choices=tuple(CERTIFICATES), required=True)
     add_norm_flags(p_bnd)
+    p_bnd.add_argument(
+        "--rate", type=float, help="endpoint difference rate of f^(n-1) override"
+    )
 
     p_ker = sub.add_parser("kernel", help="closed-form kernel statistics")
     add_interval(p_ker)
@@ -140,15 +138,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_theta(args: argparse.Namespace) -> float:
+def _rule_spec(args: argparse.Namespace) -> RuleSpec:
+    """The rule from --n/--a/--b and exactly one of --theta or --rule."""
     rule = getattr(args, "rule", None)
     if rule is not None and args.theta is not None:
         raise ValidationError("pass either --theta or --rule, not both")
-    if rule is not None:
-        return preset(rule)
-    if args.theta is None:
+    if rule is None and args.theta is None:
         raise ValidationError("one of --theta or --rule is required")
-    return args.theta
+    theta = preset(rule) if rule is not None else args.theta
+    return RuleSpec(theta=theta, n=args.n, a=args.a, b=args.b)
+
+
+def _spec_inputs(spec: RuleSpec) -> dict:
+    return {"n": spec.n, "theta": spec.theta, "a": spec.a, "b": spec.b}
 
 
 def _record(command: str, inputs: dict, results: dict) -> dict:
@@ -173,86 +175,66 @@ def _csv_text(header: list[str], rows: list[list[object]]) -> str:
     return buf.getvalue()
 
 
-def _certificate_payload(cert: bounds_mod.ErrorCertificate) -> dict:
+def _certificate_payload(cert: ErrorCertificate) -> dict:
     out: dict = {
         "bound": cert.bound,
         "theorem": cert.theorem.value,
         "covers_perturbed_rule": cert.covers_perturbed_rule,
         "rigor": cert.rigor,
     }
-    kind = cert.theorem
-    if kind is bounds_mod.CertificateKind.BAND_ODD:
-        out["gamma"] = cert.band.gamma
-        out["Gamma"] = cert.band.Gamma
-    elif kind.value.startswith(("OneSided", "PerturbedEven")):
-        side = "lower" if kind.value.endswith("Lower") else "upper"
-        edge = cert.band.gamma if side == "lower" else cert.band.Gamma
-        out["side"] = side
-        out["band_edge"] = edge
-        out["endpoint_diff_rate"] = cert.norms.endpoint_diff_rate
-    elif kind is bounds_mod.CertificateKind.L1:
-        out["l1"] = cert.norms.l1
-    elif kind is bounds_mod.CertificateKind.L2:
-        out["l2"] = cert.norms.l2
-    elif kind is bounds_mod.CertificateKind.LINF:
-        out["linf"] = cert.norms.linf
-    else:
-        out["sigma"] = cert.norms.sigma
+    band, norms = cert.band, cert.norms
+    if band is not None and norms is None:
+        out["gamma"] = band.gamma
+        out["Gamma"] = band.Gamma
+    elif band is not None:  # one-sided: the finite edge is the datum
+        lower = math.isfinite(band.gamma)
+        out["side"] = "lower" if lower else "upper"
+        out["band_edge"] = band.gamma if lower else band.Gamma
+    if norms is not None:
+        for field in ("l1", "l2", "linf", "endpoint_diff_rate", "sigma"):
+            if getattr(norms, field) is not None:
+                out[field] = getattr(norms, field)
     return out
 
 
-def _assemble_inputs(
+def _certificate_inputs(
     args: argparse.Namespace,
     fn: AnalyticFunction | None,
     spec: RuleSpec,
     kind: str,
-) -> tuple[bounds_mod.NormData | None, bounds_mod.DerivativeBand | None]:
-    """Norm/band inputs for a certificate: explicit flags beat exact metadata."""
+) -> tuple[NormData | None, DerivativeBand | None]:
+    """Norm/band inputs for certify: explicit flags beat exact metadata."""
     n, a, b = spec.n, spec.a, spec.b
-
-    def exact_norms() -> bounds_mod.NormData:
-        if fn is None:
-            raise ValidationError(
-                f"certificate {kind!r} needs an explicit norm flag or --f"
-            )
-        return fn.norm_data(n, a, b)
-
     if kind == "band":
         if args.gamma is not None and args.Gamma is not None:
-            return None, bounds_mod.DerivativeBand(args.gamma, args.Gamma, order=n)
+            return None, DerivativeBand(args.gamma, args.Gamma, order=n)
         if args.gamma is not None or args.Gamma is not None:
             raise ValidationError("band certificates need both --gamma and --Gamma")
         if fn is None:
             raise ValidationError("certificate 'band' needs --gamma/--Gamma or --f")
         return None, fn.band(n, a, b)
-
-    flag = {"l1": args.l1, "l2": args.l2, "linf": args.linf, "sharp": args.sigma}[kind]
+    field = CERTIFICATES[kind]
+    flag = getattr(args, field)
     if flag is not None:
-        field = {"l1": "l1", "l2": "l2", "linf": "linf", "sharp": "sigma"}[kind]
-        return bounds_mod.NormData(**{field: flag}, provenance="user-supplied"), None
-    return exact_norms(), None
+        return NormData(**{field: flag}, provenance="user-supplied"), None
+    if fn is None:
+        raise ValidationError(f"certificate {kind!r} needs --{field} or --f")
+    return fn.norm_data(n, a, b), None
 
 
 def _cmd_integrate(args: argparse.Namespace) -> None:
     fn = parse_function(args.f)
-    theta = _resolve_theta(args)
-    spec = RuleSpec(theta=theta, n=args.n, a=args.a, b=args.b)
+    spec = _rule_spec(args)
     integrand = fn.integrand(args.a, args.b)
     tol = _oracle_tol()
 
     perturbed = args.perturbed
-    inputs: dict = {
-        "f": args.f,
-        "n": args.n,
-        "theta": theta,
-        "a": spec.a,
-        "b": spec.b,
-        "panels": args.panels,
-        "oracle_tol": tol,
-    }
+    inputs = {"f": args.f, **_spec_inputs(spec), "panels": args.panels, "oracle_tol": tol}
 
-    if args.bound is not None:
-        norms, band = _assemble_inputs(args, fn, spec, args.bound)
+    if args.bound is None:
+        value, _ = _rule_panels(integrand, spec, args.panels, perturbed)
+    else:
+        norms, band = _certificate_inputs(args, fn, spec, args.bound)
         composite = composite_integrate(
             integrand, spec, args.panels, certificate=args.bound, norms=norms, band=band
         )
@@ -264,129 +246,55 @@ def _cmd_integrate(args: argparse.Namespace) -> None:
             )
         perturbed = covers  # composite already folded the perturbation in
         value = composite.value
-        reference = reference_integral(integrand, spec.a, spec.b, tol=tol)
-        results = {
-            "value": value,
-            "true_error": abs(reference - value),
-            "bound": composite.total_bound,
-            "certificate": args.bound,
-        }
-    else:
-        if perturbed and spec.n % 2 != 0:
-            raise ValidationError("--perturbed requires even n")
-        from .integrate import _panel_edges  # shared uniform grid helper
-
-        edges = _panel_edges(spec.a, spec.b, args.panels)
-        values = []
-        for lo, hi in zip(edges, edges[1:]):
-            from dataclasses import replace
-
-            result = apply_rule(integrand, replace(spec, a=lo, b=hi))
-            v = result.f_n_value
-            if perturbed:
-                v += result.perturbation_term or 0.0
-            values.append(v)
-        value = math.fsum(values)
-        reference = reference_integral(integrand, spec.a, spec.b, tol=tol)
-        results = {"value": value, "true_error": abs(reference - value)}
-
+    reference = reference_integral(integrand, spec.a, spec.b, tol=tol)
+    results = {"value": value, "true_error": abs(reference - value)}
     inputs["perturbed"] = perturbed
     if args.bound is not None:
         inputs["bound"] = args.bound
-    record = _record("integrate", inputs, results)
+        results["bound"] = composite.total_bound
+        results["certificate"] = args.bound
     if args.format == "csv":
         sys.stdout.write(
             _csv_text(list(results.keys()), [list(results.values())])
         )
     else:
-        _print_json(record)
+        _print_json(_record("integrate", inputs, results))
 
 
 def _cmd_bound(args: argparse.Namespace) -> None:
     fn = parse_function(args.f) if args.f is not None else None
-    theta = _resolve_theta(args)
-    spec = RuleSpec(theta=theta, n=args.n, a=args.a, b=args.b)
+    spec = _rule_spec(args)
     kind = args.bound
+    norms, band = _certificate_inputs(args, fn, spec, kind)
+    rate = args.rate
+    if rate is None and fn is not None and band is not None and spec.n % 2 == 0:
+        rate = fn.endpoint_diff_rate(spec.n, spec.a, spec.b)
+    cert = certify(spec, kind, norms, band, rate)
 
-    if kind == "band":
-        _, band = _assemble_inputs(args, fn, spec, kind)
-        if spec.n % 2 == 1:
-            cert = bounds_mod.bound_band_odd(spec, band)
-        else:
-            if args.rate is not None:
-                rate = args.rate
-            elif fn is not None:
-                rate = fn.endpoint_diff_rate(spec.n, spec.a, spec.b)
-            else:
-                raise ValidationError("even-n band certificates need --rate or --f")
-            candidates = []
-            if math.isfinite(band.gamma) and rate >= band.gamma:
-                candidates.append(
-                    bounds_mod.bound_perturbed_even(spec, "lower", band.gamma, rate)
-                )
-            if math.isfinite(band.Gamma) and band.Gamma >= rate:
-                candidates.append(
-                    bounds_mod.bound_perturbed_even(spec, "upper", band.Gamma, rate)
-                )
-            if not candidates:
-                raise ValidationError(
-                    f"the rate {rate!r} violates the supplied band; no valid side"
-                )
-            cert = min(candidates, key=lambda c: c.bound)
-    else:
-        norms, _ = _assemble_inputs(args, fn, spec, kind)
-        provenance = norms.provenance
-        if kind == "l1":
-            cert = bounds_mod.bound_l1(spec, norms.l1, provenance=provenance)
-        elif kind == "l2":
-            cert = bounds_mod.bound_l2(spec, norms.l2, provenance=provenance)
-        elif kind == "linf":
-            cert = bounds_mod.bound_linf(spec, norms.linf, provenance=provenance)
-        else:
-            cert = bounds_mod.bound_sharp(spec, norms.sigma, provenance=provenance)
-
-    inputs = {
-        "n": args.n,
-        "theta": theta,
-        "a": spec.a,
-        "b": spec.b,
-        "bound": kind,
-    }
+    inputs = {**_spec_inputs(spec), "bound": kind}
     if args.f is not None:
         inputs["f"] = args.f
     _print_json(_record("bound", inputs, _certificate_payload(cert)))
 
 
+def _kernel_payload(stats: KernelStats) -> dict:
+    out: dict = {
+        "integral": stats.integral,
+        "abs_integral": stats.abs_integral,
+        "max_abs": stats.max_abs,
+        "l2_sq": stats.l2_sq,
+    }
+    if stats.centered_max_abs is not None:
+        out["centered_max"] = stats.centered_max_abs
+    return out
+
+
 def _cmd_kernel(args: argparse.Namespace) -> None:
-    theta = _resolve_theta(args)
-    spec = RuleSpec(theta=theta, n=args.n, a=args.a, b=args.b)
-    closed = kernel_stats_closed(spec)
-    results: dict = {
-        "integral": closed.integral,
-        "abs_integral": closed.abs_integral,
-        "max_abs": closed.max_abs,
-        "l2_sq": closed.l2_sq,
-    }
-    if closed.centered_max_abs is not None:
-        results["centered_max"] = closed.centered_max_abs
+    spec = _rule_spec(args)
+    results = _kernel_payload(kernel_stats_closed(spec))
     if args.brute_force:
-        brute = kernel_stats_brute(spec)
-        brute_out: dict = {
-            "integral": brute.integral,
-            "abs_integral": brute.abs_integral,
-            "max_abs": brute.max_abs,
-            "l2_sq": brute.l2_sq,
-        }
-        if brute.centered_max_abs is not None:
-            brute_out["centered_max"] = brute.centered_max_abs
-        results["brute"] = brute_out
-    inputs = {
-        "n": args.n,
-        "theta": theta,
-        "a": spec.a,
-        "b": spec.b,
-        "brute_force": bool(args.brute_force),
-    }
+        results["brute"] = _kernel_payload(kernel_stats_brute(spec))
+    inputs = {**_spec_inputs(spec), "brute_force": bool(args.brute_force)}
     _print_json(_record("kernel", inputs, results))
 
 
@@ -416,8 +324,7 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
     tol = _oracle_tol()
     even = args.n % 2 == 0
 
-    header = ["theta", "f_n", "true_error", "bound_l1", "bound_l2", "bound_linf",
-              "bound_band", "bound_sharp"]
+    header = ["theta", "f_n", "true_error", *(f"bound_{kind}" for kind in CERTIFICATES)]
     if even:
         header += ["perturbation", "perturbed_error"]
 
@@ -431,20 +338,7 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
         spec = RuleSpec(theta=theta, n=args.n, a=args.a, b=args.b)
         result = apply_rule(integrand, spec)
         row: list[object] = [theta, result.f_n_value, abs(reference - result.f_n_value)]
-        row.append(bounds_mod.bound_l1(spec, norms.l1, provenance="exact").bound)
-        row.append(bounds_mod.bound_l2(spec, norms.l2, provenance="exact").bound)
-        row.append(bounds_mod.bound_linf(spec, norms.linf, provenance="exact").bound)
-        if even:
-            rate = norms.endpoint_diff_rate
-            sides = []
-            if rate >= band.gamma:
-                sides.append(bounds_mod.bound_perturbed_even(spec, "lower", band.gamma, rate))
-            if band.Gamma >= rate:
-                sides.append(bounds_mod.bound_perturbed_even(spec, "upper", band.Gamma, rate))
-            row.append(min(c.bound for c in sides))
-        else:
-            row.append(bounds_mod.bound_band_odd(spec, band).bound)
-        row.append(bounds_mod.bound_sharp(spec, norms.sigma, provenance="exact").bound)
+        row += [certify(spec, kind, norms, band).bound for kind in CERTIFICATES]
         if even:
             perturbation = result.perturbation_term or 0.0
             row.append(perturbation)
@@ -454,19 +348,12 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
 
 
 def _cmd_sharpness(args: argparse.Namespace) -> None:
-    theta = _resolve_theta(args)
-    spec = RuleSpec(theta=theta, n=args.n, a=args.a, b=args.b)
+    spec = _rule_spec(args)
     report = sharpness_check(spec, end_to_end=args.end_to_end, tol=_oracle_tol())
     results = {"lhs": report.lhs, "rhs": report.rhs, "ratio": report.ratio}
     if report.end_to_end_error is not None:
         results["end_to_end_error"] = report.end_to_end_error
-    inputs = {
-        "n": args.n,
-        "theta": theta,
-        "a": spec.a,
-        "b": spec.b,
-        "end_to_end": bool(args.end_to_end),
-    }
+    inputs = {**_spec_inputs(spec), "end_to_end": bool(args.end_to_end)}
     _print_json(_record("sharpness", inputs, results))
 
 

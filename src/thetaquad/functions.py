@@ -80,7 +80,7 @@ class AnalyticFunction:
 
     def integrand(self, a: float, b: float) -> Integrand:
         a, b = _check_interval(a, b)
-        return Integrand.from_order_function(self.derivative, (a, b), max_order=None)
+        return Integrand(derivative_fn=self.derivative, domain=(a, b))
 
     def band(self, order: int, a: float, b: float) -> DerivativeBand:
         order = _check_order(order)
@@ -104,16 +104,19 @@ class AnalyticFunction:
             abs(self.derivative(order - 1, right) - self.derivative(order - 1, left))
             for left, right in zip(cuts, cuts[1:])
         )
+        return self._exact_norms(order, a, b, l1, self._l2_sq(order, a, b), linf)
 
-        l2_sq = self._l2_sq(order, a, b)
-        rate = (self.derivative(order - 1, b) - self.derivative(order - 1, a)) / (b - a)
-        sigma = max(l2_sq - rate * rate * (b - a), 0.0)
+    def _exact_norms(
+        self, order: int, a: float, b: float, l1: float, l2_sq: float, linf: float
+    ) -> NormData:
+        """NormData from l1, squared l2 and sup; rate and sigma follow from them."""
+        rate = self.endpoint_diff_rate(order, a, b)
         return NormData(
             l1=l1,
             l2=math.sqrt(max(l2_sq, 0.0)),
             linf=linf,
             endpoint_diff_rate=rate,
-            sigma=sigma,
+            sigma=max(l2_sq - rate * rate * (b - a), 0.0),
             provenance="exact",
         )
 
@@ -247,7 +250,11 @@ class Runge(AnalyticFunction):
 
 @dataclass(frozen=True)
 class PolynomialFunction(AnalyticFunction):
-    """A global polynomial sum(c_j x^j) given by ascending coefficients."""
+    """A global polynomial sum(c_j x^j) given by ascending coefficients.
+
+    Band and norms come from the piecewise-polynomial machinery, which finds
+    the zeros and stationary points itself.
+    """
 
     coefficients: tuple[float, ...]
 
@@ -286,12 +293,6 @@ class PolynomialFunction(AnalyticFunction):
                 shifted[j] += a * shifted[j + 1]
         return PiecewisePolynomial(breakpoints=(a, b), segments=(tuple(shifted),))
 
-    def _stationary_points(self, order: int, a: float, b: float) -> list[float]:
-        return []  # unused: band/norms route through the poly module instead
-
-    def _zeros(self, order: int, a: float, b: float) -> list[float]:
-        return []
-
     def band(self, order: int, a: float, b: float) -> DerivativeBand:
         order = _check_order(order)
         a, b = _check_interval(a, b)
@@ -302,16 +303,7 @@ class PolynomialFunction(AnalyticFunction):
         order = _check_order(order)
         a, b = _check_interval(a, b)
         stats = self._as_piecewise(order, a, b).norm_stats(a, b)
-        rate = (self.derivative(order - 1, b) - self.derivative(order - 1, a)) / (b - a)
-        sigma = max(stats.l2_sq - rate * rate * (b - a), 0.0)
-        return NormData(
-            l1=stats.l1,
-            l2=math.sqrt(stats.l2_sq),
-            linf=stats.max_abs,
-            endpoint_diff_rate=rate,
-            sigma=sigma,
-            provenance="exact",
-        )
+        return self._exact_norms(order, a, b, stats.l1, stats.l2_sq, stats.max_abs)
 
 
 BUILTIN_NAMES = ("exp", "sin", "runge", "poly:c0,c1,...")

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 from . import bounds
-from .errors import CapabilityError, ConvergenceError, ValidationError
+from .errors import ConvergenceError, ValidationError
 from .kernel import RuleSpec, build_kernel, kernel_stats_brute, kernel_stats_closed
 from .poly import PiecewisePolynomial
 from .rules import Integrand, apply_rule
@@ -29,18 +30,12 @@ DEFAULT_ORACLE_TOL = 1e-12
 #: Panel cap of the reference oracle; exceeding it raises ConvergenceError.
 MAX_ORACLE_PANELS = 4096
 
-# 15-point Gauss-Legendre rule on [-1, 1], ascending nodes.  Each literal is
-# the correctly rounded double of the exact node or weight, so the oracle does
-# not depend on any linear-algebra library; tests/test_integrate.py recomputes
-# them to 40 digits and checks every bit.
-_GL_NODES = (
-    -0.9879925180204854,
-    -0.937273392400706,
-    -0.8482065834104272,
-    -0.7244177313601701,
-    -0.5709721726085388,
-    -0.3941513470775634,
-    -0.20119409399743451,
+# 15-point Gauss-Legendre rule on [-1, 1], ascending nodes.  The rule is
+# symmetric, so only the nodes x >= 0 and their weights are written out.  Each
+# literal is the correctly rounded double of the exact node or weight, so the
+# oracle does not depend on any linear-algebra library; tests/test_integrate.py
+# recomputes all 15 to 40 digits and checks every bit.
+_GL_HALF_NODES = (
     0.0,
     0.20119409399743451,
     0.3941513470775634,
@@ -50,14 +45,7 @@ _GL_NODES = (
     0.937273392400706,
     0.9879925180204854,
 )
-_GL_WEIGHTS = (
-    0.03075324199611727,
-    0.07036604748810812,
-    0.10715922046717194,
-    0.13957067792615432,
-    0.16626920581699392,
-    0.1861610000155622,
-    0.19843148532711158,
+_GL_HALF_WEIGHTS = (
     0.2025782419255613,
     0.19843148532711158,
     0.1861610000155622,
@@ -67,9 +55,11 @@ _GL_WEIGHTS = (
     0.07036604748810812,
     0.03075324199611727,
 )
+_GL_NODES = tuple(-x for x in reversed(_GL_HALF_NODES[1:])) + _GL_HALF_NODES
+_GL_WEIGHTS = tuple(reversed(_GL_HALF_WEIGHTS[1:])) + _GL_HALF_WEIGHTS
 
-#: Composite certificate kinds accepted by composite_integrate.
-COMPOSITE_CERTIFICATES = ("l1", "l2", "linf", "band", "sharp")
+#: Certificate kinds accepted by composite_integrate (bounds.CERTIFICATES).
+COMPOSITE_CERTIFICATES = tuple(bounds.CERTIFICATES)
 
 
 def _gl_panel(f: Integrand, lo: float, hi: float) -> float:
@@ -129,6 +119,42 @@ def reference_integral(
     )
 
 
+def _rule_panels(
+    f: Integrand,
+    spec: RuleSpec,
+    panels: int,
+    perturbed: bool = False,
+    certify_panel: Callable[[RuleSpec], bounds.ErrorCertificate] | None = None,
+) -> tuple[float, list[float]]:
+    """The rule on a uniform partition: its value and one budget per panel.
+
+    ``perturbed`` folds each panel's perturbation term into the value.  With
+    ``certify_panel`` every panel gets a certificate instead, and the value
+    includes the perturbation exactly when that certificate covers it.
+    Panel values are reduced in ascending panel order with compensated
+    summation.
+    """
+    if not isinstance(panels, int) or isinstance(panels, bool) or panels < 1:
+        raise ValidationError(f"panels must be an int >= 1, got {panels!r}")
+    if perturbed and spec.n % 2 != 0:
+        raise ValidationError(f"the perturbed rule needs even n, got n={spec.n}")
+    edges = _panel_edges(spec.a, spec.b, panels)
+    values: list[float] = []
+    budgets: list[float] = []
+    for lo, hi in zip(edges, edges[1:]):
+        pspec = replace(spec, a=lo, b=hi)
+        result = apply_rule(f, pspec)
+        if certify_panel is not None:
+            cert = certify_panel(pspec)
+            budgets.append(cert.bound)
+            perturbed = cert.covers_perturbed_rule
+        value = result.f_n_value
+        if perturbed:
+            value += result.perturbation_term or 0.0
+        values.append(value)
+    return math.fsum(values), budgets
+
+
 def true_error(
     f: Integrand,
     spec: RuleSpec,
@@ -140,14 +166,8 @@ def true_error(
     With ``perturbed`` (even n only) the perturbation term joins the rule
     value, matching what perturbed-rule certificates bound.
     """
-    if perturbed and spec.n % 2 != 0:
-        raise ValidationError("perturbed=True requires even n")
-    reference = reference_integral(f, spec.a, spec.b, tol=tol)
-    result = apply_rule(f, spec)
-    value = result.f_n_value
-    if perturbed:
-        value += result.perturbation_term or 0.0
-    return abs(reference - value)
+    value, _ = _rule_panels(f, spec, 1, perturbed)
+    return abs(reference_integral(f, spec.a, spec.b, tol=tol) - value)
 
 
 @dataclass(frozen=True)
@@ -166,64 +186,6 @@ class CompositeResult:
     certificate_kind: str
 
 
-def _panel_certificate(
-    f: Integrand,
-    pspec: RuleSpec,
-    certificate: str,
-    norms: bounds.NormData | None,
-    band: bounds.DerivativeBand | None,
-) -> bounds.ErrorCertificate:
-    def need_norm(field: str) -> float:
-        if norms is None or getattr(norms, field) is None:
-            raise ValidationError(
-                f"certificate {certificate!r} needs NormData.{field}"
-            )
-        return getattr(norms, field)
-
-    provenance = norms.provenance if norms is not None else "user-supplied"
-    if certificate == "l1":
-        return bounds.bound_l1(pspec, need_norm("l1"), provenance=provenance)
-    if certificate == "l2":
-        return bounds.bound_l2(pspec, need_norm("l2"), provenance=provenance)
-    if certificate == "linf":
-        return bounds.bound_linf(pspec, need_norm("linf"), provenance=provenance)
-    if certificate == "sharp":
-        return bounds.bound_sharp(pspec, need_norm("sigma"), provenance=provenance)
-    if certificate == "band":
-        if band is None:
-            raise ValidationError("certificate 'band' needs a DerivativeBand")
-        if pspec.n % 2 == 1:
-            return bounds.bound_band_odd(pspec, band)
-        # Even n: one-sided perturbed certificates; take the tighter valid side.
-        order = pspec.n - 1
-        if f.max_order is not None and f.max_order < order:
-            raise CapabilityError(
-                f"even-n band certificate needs derivative order {order}"
-            )
-        rate = (
-            f.eval_derivative(order, pspec.b) - f.eval_derivative(order, pspec.a)
-        ) / pspec.width
-        candidates = []
-        if math.isfinite(band.gamma) and rate >= band.gamma:
-            candidates.append(
-                bounds.bound_perturbed_even(pspec, "lower", band.gamma, rate)
-            )
-        if math.isfinite(band.Gamma) and band.Gamma >= rate:
-            candidates.append(
-                bounds.bound_perturbed_even(pspec, "upper", band.Gamma, rate)
-            )
-        if not candidates:
-            raise ValidationError(
-                "no valid side for the even-n band certificate: the rate "
-                f"{rate!r} violates the supplied band"
-            )
-        return min(candidates, key=lambda cert: cert.bound)
-    raise ValidationError(
-        f"unknown certificate kind {certificate!r}; "
-        f"expected one of {COMPOSITE_CERTIFICATES}"
-    )
-
-
 def composite_integrate(
     f: Integrand,
     spec: RuleSpec,
@@ -235,30 +197,28 @@ def composite_integrate(
 ) -> CompositeResult:
     """Apply the rule on a uniform partition and budget each panel.
 
-    Norm inputs are global for [a, b] and reused on every panel; that is
-    conservative because every norm a certificate consumes can only shrink
-    on a subinterval (sigma included: the panel-centred variance is at most
-    the interval variance).  The endpoint rates that one-sided even-n
-    certificates need are computed exactly per panel from f's derivative
-    closures.  Panel values and budgets are reduced in ascending panel order
-    with compensated summation.
+    ``certificate`` is a name in bounds.CERTIFICATES; each panel's budget
+    comes from bounds.certify.  Norm inputs are global for [a, b] and reused
+    on every panel; that is conservative because every norm a certificate
+    consumes can only shrink on a subinterval (sigma included: the
+    panel-centred variance is at most the interval variance).  The endpoint
+    rates that one-sided even-n certificates need are computed exactly per
+    panel from f's derivative closures.
     """
-    if not isinstance(panels, int) or isinstance(panels, bool) or panels < 1:
-        raise ValidationError(f"panels must be an int >= 1, got {panels!r}")
-    edges = _panel_edges(spec.a, spec.b, panels)
-    values: list[float] = []
-    budgets: list[float] = []
-    for lo, hi in zip(edges, edges[1:]):
-        pspec = replace(spec, a=lo, b=hi)
-        result = apply_rule(f, pspec)
-        cert = _panel_certificate(f, pspec, certificate, norms, band)
-        value = result.f_n_value
-        if cert.covers_perturbed_rule:
-            value += result.perturbation_term or 0.0
-        values.append(value)
-        budgets.append(cert.bound)
+    rate_order = spec.n - 1 if certificate == "band" and spec.n % 2 == 0 else None
+
+    def certify_panel(pspec: RuleSpec) -> bounds.ErrorCertificate:
+        rate = None
+        if rate_order is not None:
+            rate = (
+                f.eval_derivative(rate_order, pspec.b)
+                - f.eval_derivative(rate_order, pspec.a)
+            ) / pspec.width
+        return bounds.certify(pspec, certificate, norms, band, rate)
+
+    value, budgets = _rule_panels(f, spec, panels, certify_panel=certify_panel)
     return CompositeResult(
-        value=math.fsum(values),
+        value=value,
         panels=panels,
         per_panel_bound=tuple(budgets),
         total_bound=math.fsum(budgets),
@@ -345,7 +305,8 @@ def sharpness_check(
     else:
         lhs = abs(brute.l2_sq - brute.integral**2 / spec.width)
         sigma_closed = max(closed.l2_sq - closed.integral**2 / spec.width, 0.0)
-    rhs = bounds.bound_sharp(spec, sigma_closed, provenance="exact").bound
+    norms = bounds.NormData(sigma=sigma_closed, provenance="exact")
+    rhs = bounds.certify(spec, "sharp", norms).bound
 
     e2e: float | None = None
     if end_to_end:

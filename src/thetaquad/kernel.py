@@ -130,15 +130,9 @@ def build_kernel(spec: RuleSpec) -> PiecewisePolynomial:
 # -- dimensionless branch factors -----------------------------------------
 #
 # Each closed form is a power of (b - a) over n! 2^n times a dimensionless
-# factor in (n, theta).  The factors are shared with the bounds module so a
-# certificate's printed formula and the kernel statistic stay in lockstep.
-
-
-def sup_bracket(n: int, theta: float) -> float:
-    """Factor of the abs-integral written over (n+1)! 2^n: branches at theta*n = 1."""
-    if theta * n >= 1.0:
-        return theta * (n + 1) - 1.0
-    return 2.0 * theta ** (n + 1) * float(n) ** n - theta * (n + 1) + 1.0
+# factor in (n, theta).  The bounds module builds its coefficients from these
+# and from the closed forms below, so a certificate and the kernel statistic
+# it rests on come from one formula.
 
 
 def max_factor(n: int, theta: float) -> float:

@@ -67,9 +67,11 @@ def _square_coeffs(coeffs: tuple[float, ...]) -> tuple[float, ...]:
 def _bisect_sign_change(
     coeffs: tuple[float, ...], lo: float, hi: float, flo: float
 ) -> float:
-    """Shrink a bracket with a sign change down to ROOT_TOLERANCE width."""
+    """Shrink a sign-change bracket to ROOT_TOLERANCE width or to adjacent floats."""
     while hi - lo > ROOT_TOLERANCE:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         fm = _horner(coeffs, mid)
         if fm == 0.0:
             return mid
@@ -80,13 +82,40 @@ def _bisect_sign_change(
     return 0.5 * (lo + hi)
 
 
+def _root_toward_zero(
+    coeffs: tuple[float, ...], far: float, ffar: float, zero: float
+) -> float | None:
+    """A root between ``far`` and a probe ``zero`` where p vanishes, or None.
+
+    Steps toward ``zero``, cutting the distance 256-fold each time, until p
+    vanishes or changes sign against ``ffar``, then bisects that bracket.  A
+    crossing within ROOT_TOLERANCE of ``zero`` is not told apart from it.
+    """
+    x = far
+    while abs(x - zero) > ROOT_TOLERANCE:
+        nxt = zero + (x - zero) / 256.0
+        if nxt in (x, zero):
+            break
+        v = _horner(coeffs, nxt)
+        if v == 0.0:
+            return nxt
+        if (v < 0.0) != (ffar < 0.0):
+            lo, hi = sorted((x, nxt))
+            return _bisect_sign_change(coeffs, lo, hi, _horner(coeffs, lo))
+        x = nxt
+    return None
+
+
 def _sign_change_roots(coeffs: tuple[float, ...], lo: float, hi: float) -> list[float]:
     """Locate roots of the local polynomial in [lo, hi] by grid + bisection.
 
     Deterministic: a fixed ROOT_GRID-cell probe grid, bisection on every sign
-    change.  Roots that touch zero without crossing are not reported; callers
-    only use the result to split integrals or enumerate extremum candidates,
-    and both uses stay correct when a non-crossing root is skipped.
+    change.  A probe where p is exactly 0 is a root, and each cell next to it
+    is searched from its other end toward that probe, so a crossing between
+    the two is not lost.  Roots that touch zero without crossing are not
+    reported; callers only use the result to split integrals or enumerate
+    extremum candidates, and both uses stay correct when a non-crossing root
+    is skipped.
     """
     if hi <= lo:
         return []
@@ -97,11 +126,15 @@ def _sign_change_roots(coeffs: tuple[float, ...], lo: float, hi: float) -> list[
         v0, v1 = vals[i], vals[i + 1]
         if v0 == 0.0:
             roots.append(xs[i])
-        elif (v0 < 0.0) != (v1 < 0.0) and v1 != 0.0:
+            if v1 != 0.0:
+                roots.append(_root_toward_zero(coeffs, xs[i + 1], v1, xs[i]))
+        elif v1 == 0.0:
+            roots.append(_root_toward_zero(coeffs, xs[i], v0, xs[i + 1]))
+        elif (v0 < 0.0) != (v1 < 0.0):
             roots.append(_bisect_sign_change(coeffs, xs[i], xs[i + 1], v0))
     if vals[-1] == 0.0:
         roots.append(xs[-1])
-    return roots
+    return [r for r in roots if r is not None]
 
 
 @dataclass(frozen=True)

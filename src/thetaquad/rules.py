@@ -88,16 +88,6 @@ class Integrand:
 
         return cls(derivative_fn=derivative_fn, domain=domain, max_order=len(funcs) - 1)
 
-    @classmethod
-    def from_order_function(
-        cls,
-        fn: Callable[[int, float], float],
-        domain: tuple[float, float],
-        max_order: int | None = None,
-    ) -> Integrand:
-        """Build from a single (order, x) -> value closure."""
-        return cls(derivative_fn=fn, domain=domain, max_order=max_order)
-
     def eval_derivative(self, order: int, x: float) -> float:
         if not isinstance(order, int) or isinstance(order, bool) or order < 0:
             raise ValidationError(f"derivative order must be an int >= 0, got {order!r}")

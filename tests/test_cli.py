@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from thetaquad import ConvergenceError
+from thetaquad import CERTIFICATES, ConvergenceError, RuleSpec, Runge, composite_integrate
 from thetaquad import cli as cli_mod
 from thetaquad.cli import run_cli
 
@@ -234,6 +234,27 @@ def test_bound_sharp_from_builtin_sigma(capsys):
     assert record["results"]["bound"] > 0.0
 
 
+@pytest.mark.parametrize("kind", CERTIFICATES)
+@pytest.mark.parametrize("n", range(1, 7))
+def test_every_entry_point_prints_the_same_budget(capsys, n, kind):
+    """composite_integrate at one panel, bound --f and the sweep column agree."""
+    fn, a, b, theta = Runge(), -1.0, 2.0, 0.25
+    composite = composite_integrate(
+        fn.integrand(a, b), RuleSpec(theta=theta, n=n, a=a, b=b), panels=1,
+        certificate=kind, norms=fn.norm_data(n, a, b), band=fn.band(n, a, b),
+    )
+    interval = ["--n", str(n), "--a", repr(a), "--b", repr(b)]
+    bound = run_json(
+        capsys, "bound", "--f", "runge", "--bound", kind, "--theta", repr(theta), *interval
+    )
+    _, out, _ = run(
+        capsys, "sweep", "--f", "runge", "--theta-grid", f"{theta}:1:{theta}", *interval
+    )
+    header, row = list(csv.reader(io.StringIO(out)))
+    assert bound["results"]["bound"] == composite.total_bound
+    assert float(row[header.index(f"bound_{kind}")]) == composite.total_bound
+
+
 # ---------------------------------------------------------------- sweep
 
 
@@ -331,6 +352,12 @@ def test_sharpness_end_to_end_flag(capsys):
          "--end-to-end"],  # reconstruction is capped at n = 4
         ["integrate", "--f", "exp", "--n", "2", "--theta", "0", "--a", "0",
          "--b", "1", "--perturbed", "--bound", "linf"],  # bound does not cover it
+        ["integrate", "--f", "exp", "--n", "2", "--theta", "0.5", "--a", "0",
+         "--b", "1", "--panels", "0"],  # no panels
+        ["integrate", "--f", "exp", "--n", "2", "--theta", "0.5", "--a", "0",
+         "--b", "1", "--panels", "-3"],  # negative panel count
+        ["integrate", "--f", "exp", "--n", "2", "--theta", "0.5", "--a", "0",
+         "--b", "1", "--bound", "band", "--rate", "0.5"],  # --rate belongs to bound
     ],
 )
 def test_validation_failures_exit_2(capsys, argv):
