@@ -32,7 +32,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, check_int
 from .kernel import (
     RuleSpec,
     closed_abs_integral,
@@ -115,8 +115,7 @@ class DerivativeBand:
             raise ValidationError(
                 f"need gamma <= Gamma, got gamma={self.gamma!r}, Gamma={self.Gamma!r}"
             )
-        if not isinstance(self.order, int) or isinstance(self.order, bool) or self.order < 1:
-            raise ValidationError(f"band order must be an int >= 1, got {self.order!r}")
+        check_int("band order", self.order, 1)
 
 
 class CertificateKind(enum.Enum):
@@ -379,11 +378,7 @@ def sigma_functional(
     """
     from .integrate import reference_integral  # deferred: integrate imports bounds
 
-    if not isinstance(order, int) or isinstance(order, bool) or order < 0:
-        raise ValidationError(f"order must be an int >= 0, got {order!r}")
-    if not a < b:
-        raise ValidationError(f"need a < b, got a={a!r}, b={b!r}")
-
+    check_int("order", order, 0)
     g = Integrand(
         derivative_fn=lambda _k, x: f.eval_derivative(order, x),
         domain=(a, b),

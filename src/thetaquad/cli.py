@@ -9,7 +9,8 @@ Output is a JSON record {schema_version, command, inputs, results} (CSV on
 request, and always CSV for sweep).  Numbers are emitted through Python's
 shortest round-trip repr, so every value parses back to the identical float
 and identical invocations produce byte-identical output.  Exit codes:
-0 success, 2 validation/usage error, 3 oracle non-convergence.
+0 success, 2 validation/usage error or floating-point overflow, 3 oracle
+non-convergence.
 """
 
 from __future__ import annotations
@@ -232,19 +233,18 @@ def _cmd_integrate(args: argparse.Namespace) -> None:
     inputs = {"f": args.f, **_spec_inputs(spec), "panels": args.panels, "oracle_tol": tol}
 
     if args.bound is None:
-        value, _ = _rule_panels(integrand, spec, args.panels, perturbed)
+        value, _, _ = _rule_panels(integrand, spec, args.panels, perturbed)
     else:
         norms, band = _certificate_inputs(args, fn, spec, args.bound)
         composite = composite_integrate(
             integrand, spec, args.panels, certificate=args.bound, norms=norms, band=band
         )
-        covers = args.bound in ("band", "sharp") and spec.n % 2 == 0
-        if perturbed and not covers:
+        if perturbed and not composite.covers_perturbed_rule:
             raise ValidationError(
                 f"--perturbed is not covered by --bound {args.bound}; "
                 "the certificate bounds the plain rule error"
             )
-        perturbed = covers  # composite already folded the perturbation in
+        perturbed = composite.covers_perturbed_rule  # already folded into value
         value = composite.value
     reference = reference_integral(integrand, spec.a, spec.b, tol=tol)
     results = {"value": value, "true_error": abs(reference - value)}
@@ -381,6 +381,9 @@ def run_cli(argv: list[str]) -> int:
         return 3
     except (ThetaQuadError, ValueError) as exc:
         sys.stderr.write(f"thetaquad: {exc}\n")
+        return 2
+    except OverflowError as exc:
+        sys.stderr.write(f"thetaquad: floating-point overflow: {exc}\n")
         return 2
     return 0
 

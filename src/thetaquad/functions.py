@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .bounds import DerivativeBand, NormData
-from .errors import ValidationError
+from .errors import ValidationError, check_int, check_interval
 from .poly import PiecewisePolynomial
 from .rules import Integrand
 
@@ -35,19 +35,6 @@ __all__ = [
     "BUILTIN_NAMES",
     "parse_function",
 ]
-
-
-def _check_interval(a: float, b: float) -> tuple[float, float]:
-    a, b = float(a), float(b)
-    if not (math.isfinite(a) and math.isfinite(b)) or not a < b:
-        raise ValidationError(f"need finite a < b, got a={a!r}, b={b!r}")
-    return a, b
-
-
-def _check_order(order: int) -> int:
-    if not isinstance(order, int) or isinstance(order, bool) or order < 1:
-        raise ValidationError(f"norm metadata needs derivative order >= 1, got {order!r}")
-    return order
 
 
 class AnalyticFunction:
@@ -79,23 +66,23 @@ class AnalyticFunction:
     # -- generic assembly --------------------------------------------------
 
     def integrand(self, a: float, b: float) -> Integrand:
-        a, b = _check_interval(a, b)
+        a, b = check_interval(a, b)
         return Integrand(derivative_fn=self.derivative, domain=(a, b))
 
     def band(self, order: int, a: float, b: float) -> DerivativeBand:
-        order = _check_order(order)
-        a, b = _check_interval(a, b)
+        check_int("derivative order", order, 1)
+        a, b = check_interval(a, b)
         values = [self.derivative(order, x) for x in (a, b, *self._stationary_points(order, a, b))]
         return DerivativeBand(gamma=min(values), Gamma=max(values), order=order)
 
     def endpoint_diff_rate(self, order: int, a: float, b: float) -> float:
-        order = _check_order(order)
-        a, b = _check_interval(a, b)
+        check_int("derivative order", order, 1)
+        a, b = check_interval(a, b)
         return (self.derivative(order - 1, b) - self.derivative(order - 1, a)) / (b - a)
 
     def norm_data(self, order: int, a: float, b: float) -> NormData:
-        order = _check_order(order)
-        a, b = _check_interval(a, b)
+        check_int("derivative order", order, 1)
+        a, b = check_interval(a, b)
         band = self.band(order, a, b)
         linf = max(abs(band.gamma), abs(band.Gamma))
 
@@ -294,14 +281,14 @@ class PolynomialFunction(AnalyticFunction):
         return PiecewisePolynomial(breakpoints=(a, b), segments=(tuple(shifted),))
 
     def band(self, order: int, a: float, b: float) -> DerivativeBand:
-        order = _check_order(order)
-        a, b = _check_interval(a, b)
+        check_int("derivative order", order, 1)
+        a, b = check_interval(a, b)
         lo, hi = self._as_piecewise(order, a, b).extrema(a, b)
         return DerivativeBand(gamma=lo, Gamma=hi, order=order)
 
     def norm_data(self, order: int, a: float, b: float) -> NormData:
-        order = _check_order(order)
-        a, b = _check_interval(a, b)
+        check_int("derivative order", order, 1)
+        a, b = check_interval(a, b)
         stats = self._as_piecewise(order, a, b).norm_stats(a, b)
         return self._exact_norms(order, a, b, stats.l1, stats.l2_sq, stats.max_abs)
 

@@ -7,10 +7,16 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 from . import bounds
-from .errors import ConvergenceError, ValidationError
-from .kernel import RuleSpec, build_kernel, kernel_stats_brute, kernel_stats_closed
+from .errors import ConvergenceError, ValidationError, check_int
+from .kernel import (
+    RuleSpec,
+    build_kernel,
+    closed_integral,
+    kernel_stats_brute,
+    kernel_stats_closed,
+)
 from .poly import PiecewisePolynomial
-from .rules import Integrand, apply_rule
+from .rules import Integrand, _mean_rate, apply_rule
 
 __all__ = [
     "DEFAULT_ORACLE_TOL",
@@ -125,8 +131,9 @@ def _rule_panels(
     panels: int,
     perturbed: bool = False,
     certify_panel: Callable[[RuleSpec], bounds.ErrorCertificate] | None = None,
-) -> tuple[float, list[float]]:
-    """The rule on a uniform partition: its value and one budget per panel.
+) -> tuple[float, list[float], bool]:
+    """The rule on a uniform partition: its value, one budget per panel, and
+    whether the value includes the perturbation.
 
     ``perturbed`` folds each panel's perturbation term into the value.  With
     ``certify_panel`` every panel gets a certificate instead, and the value
@@ -134,8 +141,7 @@ def _rule_panels(
     Panel values are reduced in ascending panel order with compensated
     summation.
     """
-    if not isinstance(panels, int) or isinstance(panels, bool) or panels < 1:
-        raise ValidationError(f"panels must be an int >= 1, got {panels!r}")
+    check_int("panels", panels, 1)
     if perturbed and spec.n % 2 != 0:
         raise ValidationError(f"the perturbed rule needs even n, got n={spec.n}")
     edges = _panel_edges(spec.a, spec.b, panels)
@@ -152,7 +158,7 @@ def _rule_panels(
         if perturbed:
             value += result.perturbation_term or 0.0
         values.append(value)
-    return math.fsum(values), budgets
+    return math.fsum(values), budgets, perturbed
 
 
 def true_error(
@@ -166,7 +172,7 @@ def true_error(
     With ``perturbed`` (even n only) the perturbation term joins the rule
     value, matching what perturbed-rule certificates bound.
     """
-    value, _ = _rule_panels(f, spec, 1, perturbed)
+    value, _, _ = _rule_panels(f, spec, 1, perturbed)
     return abs(reference_integral(f, spec.a, spec.b, tol=tol) - value)
 
 
@@ -175,8 +181,9 @@ class CompositeResult:
     """Composite rule value plus its per-panel certificate budgets.
 
     The certified statement is always |int_a^b f - value| <= total_bound:
-    when the chosen certificate covers the perturbed rule, each panel's
-    perturbation term is already folded into value.
+    when the chosen certificate covers the perturbed rule
+    (covers_perturbed_rule), each panel's perturbation term is already
+    folded into value.
     """
 
     value: float
@@ -184,6 +191,7 @@ class CompositeResult:
     per_panel_bound: tuple[float, ...]
     total_bound: float
     certificate_kind: str
+    covers_perturbed_rule: bool
 
 
 def composite_integrate(
@@ -205,24 +213,20 @@ def composite_integrate(
     rates that one-sided even-n certificates need are computed exactly per
     panel from f's derivative closures.
     """
-    rate_order = spec.n - 1 if certificate == "band" and spec.n % 2 == 0 else None
+    needs_rate = certificate == "band" and spec.n % 2 == 0
 
     def certify_panel(pspec: RuleSpec) -> bounds.ErrorCertificate:
-        rate = None
-        if rate_order is not None:
-            rate = (
-                f.eval_derivative(rate_order, pspec.b)
-                - f.eval_derivative(rate_order, pspec.a)
-            ) / pspec.width
+        rate = _mean_rate(f, pspec) if needs_rate else None
         return bounds.certify(pspec, certificate, norms, band, rate)
 
-    value, budgets = _rule_panels(f, spec, panels, certify_panel=certify_panel)
+    value, budgets, covers = _rule_panels(f, spec, panels, certify_panel=certify_panel)
     return CompositeResult(
         value=value,
         panels=panels,
         per_panel_bound=tuple(budgets),
         total_bound=math.fsum(budgets),
         certificate_kind=certificate,
+        covers_perturbed_rule=covers,
     )
 
 
@@ -253,18 +257,14 @@ def extremal_integrand(spec: RuleSpec) -> Integrand:
 
     Its n-th derivative IS the kernel of ``spec``.  Construction: f^(n-1) is
     the order-(n+1) kernel (same theta), shifted for even n by the constant
-    -+ (b-a)^(n+1) (1/(n+1) - theta) / (n! 2^(n+1)) on the left/right
-    segment so that f^(n) picks up no mean offset; lower derivatives follow
-    by repeated continuous antidifferentiation.
+    -+ (1/2) int K = -+ (b-a)^(n+1) (1/(n+1) - theta) / (n! 2^(n+1)) on the
+    left/right segment so that f^(n) picks up no mean offset; lower
+    derivatives follow by repeated continuous antidifferentiation.
     """
     n = spec.n
     upper = build_kernel(replace(spec, n=n + 1))
     if n % 2 == 0:
-        s = (
-            spec.width ** (n + 1)
-            / (math.factorial(n) * 2.0 ** (n + 1))
-            * (1.0 / (n + 1) - spec.theta)
-        )
+        s = 0.5 * closed_integral(spec)
         left, right = upper.segments
         upper = PiecewisePolynomial(
             upper.breakpoints,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, check_int, check_interval
 from .poly import PiecewisePolynomial
 
 __all__ = [
@@ -55,19 +55,13 @@ class RuleSpec:
     b: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool):
-            raise ValidationError(f"n must be an int, got {self.n!r}")
+        check_int("n", self.n, 1)
+        a, b = check_interval(self.a, self.b)
         object.__setattr__(self, "theta", float(self.theta))
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
         if not math.isfinite(self.theta) or not 0.0 <= self.theta <= 1.0:
             raise ValidationError(f"theta must lie in [0, 1], got {self.theta!r}")
-        if self.n < 1:
-            raise ValidationError(f"n must be >= 1, got {self.n}")
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise ValidationError("interval endpoints must be finite")
-        if not self.a < self.b:
-            raise ValidationError(f"need a < b, got a={self.a!r}, b={self.b!r}")
 
     @property
     def width(self) -> float:

@@ -31,6 +31,11 @@ ROOT_TOLERANCE = 1e-14
 ROOT_GRID = 64
 
 
+def domain_slack(lo: float, hi: float) -> float:
+    """Floating tolerance by which evaluations may overshoot [lo, hi]."""
+    return 1e-12 * max(1.0, abs(lo), abs(hi), hi - lo)
+
+
 def _horner(coeffs: tuple[float, ...], u: float) -> float:
     acc = 0.0
     for c in reversed(coeffs):
@@ -192,10 +197,6 @@ class PiecewisePolynomial:
     def domain(self) -> tuple[float, float]:
         return self.breakpoints[0], self.breakpoints[-1]
 
-    def _domain_slack(self) -> float:
-        lo, hi = self.domain
-        return 1e-12 * max(1.0, abs(lo), abs(hi), hi - lo)
-
     def _segment_index(self, x: float) -> int:
         idx = bisect_right(self.breakpoints, x) - 1
         return min(max(idx, 0), len(self.segments) - 1)
@@ -203,7 +204,7 @@ class PiecewisePolynomial:
     def eval(self, x: float) -> float:
         """Value at ``x``; raises DomainError outside the breakpoint span."""
         lo, hi = self.domain
-        slack = self._domain_slack()
+        slack = domain_slack(lo, hi)
         if x < lo - slack or x > hi + slack:
             raise DomainError(f"x={x!r} outside domain [{lo!r}, {hi!r}]")
         x = min(max(x, lo), hi)
@@ -253,7 +254,7 @@ class PiecewisePolynomial:
 
     def _clip_range(self, a: float, b: float) -> tuple[float, float]:
         lo, hi = self.domain
-        slack = self._domain_slack()
+        slack = domain_slack(lo, hi)
         if not (math.isfinite(a) and math.isfinite(b)):
             raise ValidationError("integration bounds must be finite")
         if b < a:

@@ -20,8 +20,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .errors import CapabilityError, DomainError, ValidationError
-from .kernel import RuleSpec
+from .errors import CapabilityError, DomainError, ValidationError, check_int, check_interval
+from .kernel import RuleSpec, closed_integral
+from .poly import domain_slack
 
 __all__ = [
     "Integrand",
@@ -58,21 +59,22 @@ class Integrand:
     ``derivative_fn(k, x)`` returns f^(k)(x); orders above ``max_order`` are
     rejected (``max_order=None`` means every order is available).  ``domain``
     is the closed interval on which evaluations are legal, with a tiny
-    floating slack at the endpoints.
+    floating slack at the endpoints.  A NaN or infinite derivative value is
+    rejected, so no budget is ever stated for a non-finite rule value.
     """
 
     derivative_fn: Callable[[int, float], float]
     domain: tuple[float, float]
     max_order: int | None = None
+    _padded: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        lo, hi = self.domain
-        object.__setattr__(self, "domain", (float(lo), float(hi)))
-        lo, hi = self.domain
-        if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
-            raise ValidationError(f"domain must be a finite interval, got {self.domain!r}")
-        if self.max_order is not None and self.max_order < 0:
-            raise ValidationError(f"max_order must be >= 0, got {self.max_order!r}")
+        lo, hi = check_interval(*self.domain)
+        slack = domain_slack(lo, hi)
+        object.__setattr__(self, "domain", (lo, hi))
+        object.__setattr__(self, "_padded", (lo - slack, hi + slack))
+        if self.max_order is not None:
+            check_int("max_order", self.max_order, 0)
 
     @classmethod
     def from_callables(
@@ -89,18 +91,19 @@ class Integrand:
         return cls(derivative_fn=derivative_fn, domain=domain, max_order=len(funcs) - 1)
 
     def eval_derivative(self, order: int, x: float) -> float:
-        if not isinstance(order, int) or isinstance(order, bool) or order < 0:
-            raise ValidationError(f"derivative order must be an int >= 0, got {order!r}")
+        check_int("derivative order", order, 0)
         if self.max_order is not None and order > self.max_order:
             raise CapabilityError(
                 f"integrand supplies derivatives up to order {self.max_order}, "
                 f"order {order} requested"
             )
         lo, hi = self.domain
-        slack = 1e-12 * max(1.0, abs(lo), abs(hi), hi - lo)
-        if x < lo - slack or x > hi + slack:
+        if x < self._padded[0] or x > self._padded[1]:
             raise DomainError(f"x={x!r} outside integrand domain [{lo!r}, {hi!r}]")
-        return self.derivative_fn(order, min(max(x, lo), hi))
+        value = self.derivative_fn(order, min(max(x, lo), hi))
+        if not math.isfinite(value):
+            raise ValidationError(f"derivative of order {order} at x={x!r} is {value!r}")
+        return value
 
 
 @dataclass(frozen=True)
@@ -122,8 +125,7 @@ class QuadratureResult:
 
 def _require_subinterval(f: Integrand, spec: RuleSpec) -> None:
     lo, hi = f.domain
-    slack = 1e-12 * max(1.0, abs(lo), abs(hi), hi - lo)
-    if spec.a < lo - slack or spec.b > hi + slack:
+    if spec.a < f._padded[0] or spec.b > f._padded[1]:
         raise DomainError(
             f"rule interval [{spec.a!r}, {spec.b!r}] not contained in "
             f"integrand domain [{lo!r}, {hi!r}]"
@@ -140,14 +142,6 @@ def correction_sum(f: Integrand, spec: RuleSpec) -> list[float]:
     """
     _require_subinterval(f, spec)
     terms_count = (spec.n - 1) // 2
-    if terms_count == 0:
-        return []
-    needed = 2 * terms_count
-    if f.max_order is not None and f.max_order < needed:
-        raise CapabilityError(
-            f"corrections for n={spec.n} need derivatives up to order {needed}, "
-            f"integrand supplies {f.max_order}"
-        )
     w = spec.width
     mid = spec.midpoint
     out = []
@@ -158,35 +152,26 @@ def correction_sum(f: Integrand, spec: RuleSpec) -> list[float]:
     return out
 
 
+def _mean_rate(f: Integrand, spec: RuleSpec) -> float:
+    """(f^(n-1)(b) - f^(n-1)(a)) / (b - a), the mean of f^(n) on [a, b]."""
+    order = spec.n - 1
+    return (f.eval_derivative(order, spec.b) - f.eval_derivative(order, spec.a)) / spec.width
+
+
 def perturbation_term(f: Integrand, spec: RuleSpec) -> float:
     """Endpoint-difference perturbation of the even-order rule.
 
-    For n = 2m:
+    For n = 2m it is int K times the mean of f^(n):
     (b-a)^(2m+1) / ((2m)! 2^(2m)) * (1/(2m+1) - theta)
         * (f^(2m-1)(b) - f^(2m-1)(a)) / (b - a).
     """
     if spec.n % 2 != 0:
         raise ValidationError("the perturbation term is defined for even n only")
-    _require_subinterval(f, spec)
-    m = spec.n // 2
-    order = 2 * m - 1
-    if f.max_order is not None and f.max_order < order:
-        raise CapabilityError(
-            f"perturbation for n={spec.n} needs derivative order {order}, "
-            f"integrand supplies {f.max_order}"
-        )
-    rate = (f.eval_derivative(order, spec.b) - f.eval_derivative(order, spec.a)) / spec.width
-    return (
-        spec.width ** (2 * m + 1)
-        / (math.factorial(2 * m) * 2.0 ** (2 * m))
-        * (1.0 / (2 * m + 1) - spec.theta)
-        * rate
-    )
+    return closed_integral(spec) * _mean_rate(f, spec)
 
 
 def apply_rule(f: Integrand, spec: RuleSpec) -> QuadratureResult:
     """Evaluate the corrected rule on [spec.a, spec.b]."""
-    _require_subinterval(f, spec)
     w = spec.width
     fm = f.eval_derivative(0, spec.midpoint)
     fa = f.eval_derivative(0, spec.a)

@@ -358,6 +358,18 @@ def test_sharpness_end_to_end_flag(capsys):
          "--b", "1", "--panels", "-3"],  # negative panel count
         ["integrate", "--f", "exp", "--n", "2", "--theta", "0.5", "--a", "0",
          "--b", "1", "--bound", "band", "--rate", "0.5"],  # --rate belongs to bound
+        ["kernel", "--n", "150", "--theta", "0.5", "--a", "0",
+         "--b", "1"],  # 2**n * n! overflows
+        ["kernel", "--n", "171", "--theta", "0.5", "--a", "0",
+         "--b", "1"],  # n! overflows a float
+        ["sharpness", "--n", "150", "--theta", "0.5", "--a", "0",
+         "--b", "1"],  # kernel scale overflows
+        ["integrate", "--f", "exp", "--n", "2", "--theta", "0", "--a", "0",
+         "--b", "800"],  # exp(800) overflows
+        ["bound", "--f", "exp", "--n", "2", "--theta", "0.5", "--a", "0",
+         "--b", "1e300", "--bound", "linf"],  # exp(1e300) overflows
+        ["integrate", "--f", "poly:1e308,1e308", "--n", "2", "--theta", "0.5",
+         "--a", "0", "--b", "1"],  # f(1) is inf
     ],
 )
 def test_validation_failures_exit_2(capsys, argv):

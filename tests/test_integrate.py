@@ -10,12 +10,14 @@ from thetaquad import (
     ConvergenceError,
     Exponential,
     Integrand,
+    NormData,
     PolynomialFunction,
     Runge,
     RuleSpec,
     Sine,
     ValidationError,
     apply_rule,
+    certify,
     composite_integrate,
     extremal_integrand,
     reference_integral,
@@ -203,6 +205,38 @@ def test_band_certificate_covers_perturbed_value_for_even_orders():
         plain_rule.f_n_value + plain_rule.perturbation_term, rel=1e-15
     )
     assert abs((math.e - 1.0) - res.value) <= res.total_bound
+
+    # Every kind and order: the result reports the certificate's coverage, and
+    # the value includes the perturbation exactly when it is covered.
+    for n in range(1, 7):
+        s = spec(0.25, n)
+        norms, band = fn.norm_data(n, 0.0, 1.0), fn.band(n, 0.0, 1.0)
+        rate = fn.endpoint_diff_rate(n, 0.0, 1.0)
+        plain_rule = apply_rule(f, s)
+        for kind in COMPOSITE_CERTIFICATES:
+            res = composite_integrate(f, s, panels=1, certificate=kind, norms=norms, band=band)
+            covers = certify(s, kind, norms, band, rate).covers_perturbed_rule
+            assert res.covers_perturbed_rule is covers, (kind, n)
+            expected = plain_rule.f_n_value
+            if covers:
+                expected += plain_rule.perturbation_term
+            assert res.value == expected, (kind, n)
+
+
+def test_nan_derivative_is_rejected_not_certified():
+    """A NaN rule value must not come with a finite budget."""
+
+    def derivative_fn(order, x):
+        return math.nan if 0.4 < x < 0.6 else math.exp(x)
+
+    f = Integrand(derivative_fn=derivative_fn, domain=(0.0, 1.0))
+    with pytest.raises(ValidationError):
+        composite_integrate(f, spec(0.5, 4), 4, "linf", norms=NormData(linf=math.e))
+    with pytest.raises(ValidationError):
+        f.eval_derivative(0, 0.5)
+    inf = Integrand(derivative_fn=lambda order, x: math.inf, domain=(0.0, 1.0))
+    with pytest.raises(ValidationError):
+        inf.eval_derivative(1, 0.25)
 
 
 def test_sup_certificate_keeps_the_plain_value_for_even_orders():
