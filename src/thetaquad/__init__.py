@@ -26,7 +26,6 @@ from .bounds import (
     bound_perturbed_even,
     bound_sharp,
     certify,
-    sigma_functional,
 )
 from .errors import (
     CapabilityError,
@@ -50,6 +49,7 @@ from .integrate import (
     extremal_integrand,
     reference_integral,
     sharpness_check,
+    sigma_functional,
     true_error,
 )
 from .kernel import (

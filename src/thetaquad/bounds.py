@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass
 
 from .errors import ValidationError, check_int
@@ -40,7 +39,6 @@ from .kernel import (
     kernel_centered_max_closed,
     l2_bracket,
 )
-from .rules import Integrand
 
 __all__ = [
     "PROVENANCES",
@@ -57,7 +55,6 @@ __all__ = [
     "bound_sharp",
     "CERTIFICATES",
     "certify",
-    "sigma_functional",
 ]
 
 #: How a norm datum was obtained.  Only "sampled-heuristic" downgrades rigor.
@@ -366,36 +363,3 @@ def certify(
         )
     return min(sides, key=lambda cert: cert.bound)
 
-
-def sigma_functional(
-    f: Integrand, order: int, a: float, b: float, oracle_tol: float = 1e-12
-) -> float:
-    """sigma(f^(order)) = ||f^(order)||_2^2 - (1/(b-a)) (int f^(order))^2.
-
-    Both integrals come from the reference oracle at ``oracle_tol``.  The
-    result is clamped to >= 0; a raw value below -1e-12 * ||g||_2^2 means the
-    oracle output is inconsistent and triggers a warning before clamping.
-    """
-    from .integrate import reference_integral  # deferred: integrate imports bounds
-
-    check_int("order", order, 0)
-    g = Integrand(
-        derivative_fn=lambda _k, x: f.eval_derivative(order, x),
-        domain=(a, b),
-        max_order=0,
-    )
-    g_sq = Integrand(
-        derivative_fn=lambda _k, x: f.eval_derivative(order, x) ** 2,
-        domain=(a, b),
-        max_order=0,
-    )
-    int_g = reference_integral(g, a, b, tol=oracle_tol)
-    int_g2 = reference_integral(g_sq, a, b, tol=oracle_tol)
-    raw = int_g2 - int_g * int_g / (b - a)
-    if raw < -1e-12 * int_g2:
-        warnings.warn(
-            f"sigma functional came out negative ({raw!r}) beyond roundoff; "
-            "clamping to 0",
-            stacklevel=2,
-        )
-    return max(raw, 0.0)

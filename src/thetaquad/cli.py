@@ -202,10 +202,26 @@ def _certificate_inputs(
     args: argparse.Namespace,
     fn: AnalyticFunction | None,
     spec: RuleSpec,
-    kind: str,
+    kind: str | None,
 ) -> tuple[NormData | None, DerivativeBand | None]:
-    """Norm/band inputs for certify: explicit flags beat exact metadata."""
+    """Norm/band inputs for certify: explicit flags beat exact metadata.
+
+    A norm flag the certificate does not read is an error: "band" reads
+    --gamma/--Gamma, and --rate at even n only; every other kind reads its
+    CERTIFICATES field, and no certificate (``kind`` None) reads none.
+    """
     n, a, b = spec.n, spec.a, spec.b
+    if kind == "band":
+        read = ("gamma", "Gamma", "rate") if n % 2 == 0 else ("gamma", "Gamma")
+    else:
+        read = () if kind is None else (CERTIFICATES[kind],)
+    flags = ("l1", "l2", "linf", "gamma", "Gamma", "sigma", "rate")
+    unread = [f"--{f}" for f in flags if f not in read and getattr(args, f, None) is not None]
+    if unread:
+        reader = "without --bound" if kind is None else f"by --bound {kind} at n={n}"
+        raise ValidationError(f"{', '.join(unread)} not read {reader}")
+    if kind is None:
+        return None, None
     if kind == "band":
         if args.gamma is not None and args.Gamma is not None:
             return None, DerivativeBand(args.gamma, args.Gamma, order=n)
@@ -232,10 +248,10 @@ def _cmd_integrate(args: argparse.Namespace) -> None:
     perturbed = args.perturbed
     inputs = {"f": args.f, **_spec_inputs(spec), "panels": args.panels, "oracle_tol": tol}
 
+    norms, band = _certificate_inputs(args, fn, spec, args.bound)
     if args.bound is None:
         value, _, _ = _rule_panels(integrand, spec, args.panels, perturbed)
     else:
-        norms, band = _certificate_inputs(args, fn, spec, args.bound)
         composite = composite_integrate(
             integrand, spec, args.panels, certificate=args.bound, norms=norms, band=band
         )

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .bounds import DerivativeBand, NormData
 from .errors import ValidationError, check_int, check_interval
-from .poly import PiecewisePolynomial
+from .poly import PiecewisePolynomial, _derivative_coeffs, _horner
 from .rules import Integrand
 
 __all__ = [
@@ -260,16 +260,11 @@ class PolynomialFunction(AnalyticFunction):
     def _coeffs_of_order(self, order: int) -> tuple[float, ...]:
         coeffs = self.coefficients
         for _ in range(order):
-            if len(coeffs) <= 1:
-                return (0.0,)
-            coeffs = tuple(j * c for j, c in enumerate(coeffs) if j >= 1)
+            coeffs = _derivative_coeffs(coeffs)
         return coeffs
 
     def derivative(self, order: int, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self._coeffs_of_order(order)):
-            acc = acc * x + c
-        return acc
+        return _horner(self._coeffs_of_order(order), x)
 
     def _as_piecewise(self, order: int, a: float, b: float) -> PiecewisePolynomial:
         # Taylor-shift the global coefficients to the left endpoint.

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
-from typing import Callable
 
 from . import bounds
 from .errors import ConvergenceError, ValidationError, check_int
@@ -16,7 +16,7 @@ from .kernel import (
     kernel_stats_closed,
 )
 from .poly import PiecewisePolynomial
-from .rules import Integrand, _mean_rate, apply_rule
+from .rules import Integrand, _mean_rate, _rule_value
 
 __all__ = [
     "DEFAULT_ORACLE_TOL",
@@ -24,6 +24,7 @@ __all__ = [
     "CompositeResult",
     "SharpnessReport",
     "reference_integral",
+    "sigma_functional",
     "true_error",
     "composite_integrate",
     "sharpness_check",
@@ -125,38 +126,65 @@ def reference_integral(
     )
 
 
+def sigma_functional(
+    f: Integrand, order: int, a: float, b: float, oracle_tol: float = 1e-12
+) -> float:
+    """sigma(f^(order)) = ||f^(order)||_2^2 - (1/(b-a)) (int f^(order))^2.
+
+    Both integrals come from the reference oracle at ``oracle_tol``.  The
+    result is clamped to >= 0; a raw value below -1e-12 * ||g||_2^2 means the
+    oracle output is inconsistent and triggers a warning before clamping.
+    """
+    check_int("order", order, 0)
+    g = Integrand(lambda _k, x: f.eval_derivative(order, x), (a, b), max_order=0)
+    g_sq = Integrand(lambda _k, x: f.eval_derivative(order, x) ** 2, (a, b), max_order=0)
+    int_g = reference_integral(g, a, b, tol=oracle_tol)
+    int_g2 = reference_integral(g_sq, a, b, tol=oracle_tol)
+    raw = int_g2 - int_g * int_g / (b - a)
+    if raw < -1e-12 * int_g2:
+        warnings.warn(
+            f"sigma functional came out negative ({raw!r}) beyond roundoff; clamping to 0",
+            stacklevel=2,
+        )
+    return max(raw, 0.0)
+
+
 def _rule_panels(
     f: Integrand,
     spec: RuleSpec,
     panels: int,
     perturbed: bool = False,
-    certify_panel: Callable[[RuleSpec], bounds.ErrorCertificate] | None = None,
+    certificate: str | None = None,
+    norms: bounds.NormData | None = None,
+    band: bounds.DerivativeBand | None = None,
 ) -> tuple[float, list[float], bool]:
     """The rule on a uniform partition: its value, one budget per panel, and
     whether the value includes the perturbation.
 
-    ``perturbed`` folds each panel's perturbation term into the value.  With
-    ``certify_panel`` every panel gets a certificate instead, and the value
-    includes the perturbation exactly when that certificate covers it.
-    Panel values are reduced in ascending panel order with compensated
-    summation.
+    ``perturbed`` folds each panel's perturbation term (int K times the mean
+    rate of f^(n)) into the value.  With a ``certificate`` name each panel is
+    certified first, and the value includes the perturbation exactly when
+    that certificate covers it.  The rate is evaluated at most once per
+    panel, and only when the certificate or the value reads it.  Panel
+    values are reduced in ascending order with compensated summation.
     """
     check_int("panels", panels, 1)
-    if perturbed and spec.n % 2 != 0:
+    even = spec.n % 2 == 0
+    if perturbed and not even:
         raise ValidationError(f"the perturbed rule needs even n, got n={spec.n}")
     edges = _panel_edges(spec.a, spec.b, panels)
     values: list[float] = []
     budgets: list[float] = []
     for lo, hi in zip(edges, edges[1:]):
-        pspec = replace(spec, a=lo, b=hi)
-        result = apply_rule(f, pspec)
-        if certify_panel is not None:
-            cert = certify_panel(pspec)
+        pspec = RuleSpec(spec.theta, spec.n, lo, hi)
+        rate = _mean_rate(f, pspec) if even and certificate == "band" else None
+        if certificate is not None:
+            cert = bounds.certify(pspec, certificate, norms, band, rate)
             budgets.append(cert.bound)
             perturbed = cert.covers_perturbed_rule
-        value = result.f_n_value
+        _, _, value = _rule_value(f, pspec)
         if perturbed:
-            value += result.perturbation_term or 0.0
+            value += closed_integral(pspec) * (_mean_rate(f, pspec) if rate is None else rate)
         values.append(value)
     return math.fsum(values), budgets, perturbed
 
@@ -213,13 +241,9 @@ def composite_integrate(
     rates that one-sided even-n certificates need are computed exactly per
     panel from f's derivative closures.
     """
-    needs_rate = certificate == "band" and spec.n % 2 == 0
-
-    def certify_panel(pspec: RuleSpec) -> bounds.ErrorCertificate:
-        rate = _mean_rate(f, pspec) if needs_rate else None
-        return bounds.certify(pspec, certificate, norms, band, rate)
-
-    value, budgets, covers = _rule_panels(f, spec, panels, certify_panel=certify_panel)
+    if certificate is None:  # the panel loop reads None as "no certificate"
+        raise ValidationError("composite_integrate needs a certificate kind")
+    value, budgets, covers = _rule_panels(f, spec, panels, False, certificate, norms, band)
     return CompositeResult(
         value=value,
         panels=panels,
@@ -294,7 +318,7 @@ def sharpness_check(
     from the kernel polynomial; the closed-form sharp bound at sigma(K)
     (taken from the closed kernel stats) must match it.  With ``end_to_end``
     (n <= 4 only) the extremal integrand is reconstructed by repeated
-    antidifferentiation and pushed through apply_rule and the oracle, and
+    antidifferentiation and pushed through the rule and the oracle, and
     the measured rule error is reported as well.
     """
     brute = kernel_stats_brute(spec)

@@ -170,20 +170,19 @@ def perturbation_term(f: Integrand, spec: RuleSpec) -> float:
     return closed_integral(spec) * _mean_rate(f, spec)
 
 
-def apply_rule(f: Integrand, spec: RuleSpec) -> QuadratureResult:
-    """Evaluate the corrected rule on [spec.a, spec.b]."""
+def _rule_value(f: Integrand, spec: RuleSpec) -> tuple[float, tuple[float, ...], float]:
+    """Base value, correction terms and their compensated sum F_n."""
     w = spec.width
     fm = f.eval_derivative(0, spec.midpoint)
     fa = f.eval_derivative(0, spec.a)
     fb = f.eval_derivative(0, spec.b)
     base = w * ((1.0 - spec.theta) * fm + spec.theta * 0.5 * (fa + fb))
     corrections = tuple(correction_sum(f, spec))
-    value = math.fsum((base, *corrections))
+    return base, corrections, math.fsum((base, *corrections))
+
+
+def apply_rule(f: Integrand, spec: RuleSpec) -> QuadratureResult:
+    """Evaluate the corrected rule on [spec.a, spec.b]."""
+    base, corrections, value = _rule_value(f, spec)
     perturbation = perturbation_term(f, spec) if spec.n % 2 == 0 else None
-    return QuadratureResult(
-        base_value=base,
-        correction_terms=corrections,
-        f_n_value=value,
-        perturbation_term=perturbation,
-        spec=spec,
-    )
+    return QuadratureResult(base, corrections, value, perturbation, spec)

@@ -370,6 +370,16 @@ def test_sharpness_end_to_end_flag(capsys):
          "--b", "1e300", "--bound", "linf"],  # exp(1e300) overflows
         ["integrate", "--f", "poly:1e308,1e308", "--n", "2", "--theta", "0.5",
          "--a", "0", "--b", "1"],  # f(1) is inf
+        ["bound", "--bound", "linf", "--linf", "1", "--l1", "7", "--gamma", "3",
+         "--rate", "5", "--n", "2", "--theta", "0.5", "--a", "0",
+         "--b", "1"],  # linf reads none of --l1, --gamma, --rate
+        ["bound", "--bound", "band", "--n", "3", "--gamma", "-1", "--Gamma", "2",
+         "--rate", "5", "--theta", "0.5", "--a", "0",
+         "--b", "1"],  # odd-n band reads no --rate
+        ["integrate", "--f", "exp", "--n", "2", "--theta", "0.5", "--a", "0",
+         "--b", "1", "--bound", "l1", "--linf", "3"],  # l1 reads no --linf
+        ["integrate", "--f", "exp", "--n", "2", "--theta", "0.5", "--a", "0",
+         "--b", "1", "--linf", "3"],  # no certificate reads no norm flag
     ],
 )
 def test_validation_failures_exit_2(capsys, argv):

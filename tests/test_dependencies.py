@@ -1,5 +1,7 @@
-"""The package runs on the standard library alone (``dependencies = []``)."""
+"""The package runs on the standard library alone (``dependencies = []``),
+and its modules import each other without a cycle."""
 
+import ast
 import json
 import subprocess
 import sys
@@ -23,3 +25,55 @@ def test_cli_imports_only_the_standard_library():
         capture_output=True, text=True, check=True, timeout=60,
     ).stdout
     assert json.loads(out) == []
+
+
+def package_imports(package: Path) -> dict[str, set[str]]:
+    """Module -> the package modules it imports relatively, at any level of
+    its body (deferred imports inside functions included)."""
+    graph = {}
+    for path in sorted(package.glob("*.py")):
+        targets = set()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module is None:  # from . import name
+                    targets.update(alias.name for alias in node.names)
+                else:
+                    targets.add(node.module.partition(".")[0])
+        graph[path.stem] = targets
+    return graph
+
+
+def find_cycle(graph: dict[str, set[str]]) -> list[str] | None:
+    """One import cycle as [m0, m1, ..., m0], or None; depth-first search."""
+    done: set[str] = set()
+
+    def visit(module: str, path: list[str]) -> list[str] | None:
+        if module in path:
+            return path[path.index(module):] + [module]
+        if module in done:
+            return None
+        for target in sorted(graph.get(module, ())):
+            cycle = visit(target, path + [module])
+            if cycle is not None:
+                return cycle
+        done.add(module)
+        return None
+
+    for module in sorted(graph):
+        cycle = visit(module, [])
+        if cycle is not None:
+            return cycle
+    return None
+
+
+def test_find_cycle_reports_the_cycle():
+    assert find_cycle({"a": {"b"}, "b": {"c"}, "c": {"b"}}) == ["b", "c", "b"]
+    assert find_cycle({"a": {"b", "c"}, "b": {"c"}, "c": set()}) is None
+
+
+def test_package_import_graph_has_no_cycle():
+    graph = package_imports(SRC / "thetaquad")
+    assert {"bounds", "integrate", "rules", "cli"} <= graph.keys()
+    assert "bounds" in graph["integrate"]  # the walk sees real edges
+    cycle = find_cycle(graph)
+    assert cycle is None, " -> ".join(cycle)

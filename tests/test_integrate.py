@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from decimal import Decimal, localcontext
 
 import pytest
@@ -223,6 +224,30 @@ def test_band_certificate_covers_perturbed_value_for_even_orders():
             assert res.value == expected, (kind, n)
 
 
+@pytest.mark.parametrize(
+    "n, certificate, rate_calls",
+    [(2, "l1", 0), (2, "l2", 0), (2, "linf", 0), (2, "band", 20), (2, "sharp", 20),
+     (4, "band", 20)],
+)
+def test_composite_evaluates_the_rate_only_where_it_is_read(n, certificate, rate_calls):
+    """f^(n-1) is evaluated at a panel's two ends only when the certificate or
+    the certified value reads the mean rate, and at most once per panel."""
+    fn = Exponential()
+    calls = Counter()
+
+    def derivative_fn(order, x):
+        calls[order] += 1
+        return fn.derivative(order, x)
+
+    f = Integrand(derivative_fn=derivative_fn, domain=(0.0, 1.0))
+    composite_integrate(
+        f, spec(0.3, n), 10, certificate,
+        norms=fn.norm_data(n, 0.0, 1.0), band=fn.band(n, 0.0, 1.0),
+    )
+    assert calls[0] == 30
+    assert calls[n - 1] == rate_calls
+
+
 def test_nan_derivative_is_rejected_not_certified():
     """A NaN rule value must not come with a finite budget."""
 
@@ -253,6 +278,8 @@ def test_missing_norms_rejected():
     f = Exponential().integrand(0.0, 1.0)
     with pytest.raises(ValidationError):
         composite_integrate(f, spec(0.5, 2), panels=2, certificate="l2")
+    with pytest.raises(ValidationError):  # no certificate is no budget, not a zero one
+        composite_integrate(f, spec(0.5, 2), panels=2, certificate=None)
 
 
 def test_panel_count_validated():
