@@ -6,8 +6,8 @@ midpoint rule, 1/3 Simpson's rule, 1/2 the midpoint/trapezoid average and
 The package carries the family's Peano kernels with closed-form statistics,
 turns them into error certificates (L1/L2/sup/band/one-sided/perturbed/
 sharp), composes the rules over uniform panels with per-panel budgets, and
-ships a verification harness that checks every closed form against brute
-force.
+ships a verification harness that checks every kernel closed form against
+exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from .kernel import (
     kernel_stats_brute,
     kernel_stats_closed,
 )
-from .poly import NormStats, PiecewisePolynomial
+from .poly import PiecewisePolynomial
 from .rules import (
     PRESETS,
     Integrand,
@@ -77,7 +77,6 @@ __all__ = [
     "__version__",
     # poly
     "PiecewisePolynomial",
-    "NormStats",
     # kernel
     "RuleSpec",
     "KernelStats",

@@ -2,7 +2,7 @@
 
 Subcommands: ``integrate`` (composite rule + optional certificate + true
 error), ``bound`` (certificate only), ``kernel`` (closed-form kernel stats,
-optionally cross-checked by brute force), ``sweep`` (plot-ready CSV over a
+optionally cross-checked in exact arithmetic), ``sweep`` (plot-ready CSV over a
 theta grid) and ``sharpness`` (attainment check of the sharp bound).
 
 Output is a JSON record {schema_version, command, inputs, results} (CSV on
@@ -115,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ker.add_argument(
         "--brute-force",
         action="store_true",
-        help="add brute-force cross-check values computed from the kernel polynomial",
+        help="add an exact rational cross-check computed from the kernel's definition",
     )
 
     p_swp = sub.add_parser("sweep", help="CSV sweep of value/error/bounds over a theta grid")

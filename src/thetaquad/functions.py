@@ -13,7 +13,9 @@ relevant derivative have enumerable closed-form locations:
   (-1)^k k! sin^(k+1)(t) sin((k+1) t), whose zeros and stationary points are
   cot(j pi / (k+1)) and cot(j pi / (k+2)); the squared derivative integrates
   in closed form as a finite cosine series in t with integer coefficients.
-* polynomials go through the exact piecewise-polynomial machinery.
+* polynomials: zeros and stationary points are the sign changes of the
+  relevant derivative, found by ``poly.real_roots``; the squared derivative
+  integrates term by term.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 from .bounds import DerivativeBand, NormData
 from .errors import ValidationError, check_int, check_interval
-from .poly import PiecewisePolynomial, _derivative_coeffs, _horner
+from .poly import _derivative_coeffs, _horner, _integral_on, _square_coeffs, real_roots
 from .rules import Integrand
 
 __all__ = [
@@ -91,12 +93,7 @@ class AnalyticFunction:
             abs(self.derivative(order - 1, right) - self.derivative(order - 1, left))
             for left, right in zip(cuts, cuts[1:])
         )
-        return self._exact_norms(order, a, b, l1, self._l2_sq(order, a, b), linf)
-
-    def _exact_norms(
-        self, order: int, a: float, b: float, l1: float, l2_sq: float, linf: float
-    ) -> NormData:
-        """NormData from l1, squared l2 and sup; rate and sigma follow from them."""
+        l2_sq = self._l2_sq(order, a, b)
         rate = self.endpoint_diff_rate(order, a, b)
         return NormData(
             l1=l1,
@@ -239,8 +236,8 @@ class Runge(AnalyticFunction):
 class PolynomialFunction(AnalyticFunction):
     """A global polynomial sum(c_j x^j) given by ascending coefficients.
 
-    Band and norms come from the piecewise-polynomial machinery, which finds
-    the zeros and stationary points itself.
+    Zeros and stationary points of each derivative come from
+    ``poly.real_roots``; band and norms from the shared assembly.
     """
 
     coefficients: tuple[float, ...]
@@ -266,26 +263,20 @@ class PolynomialFunction(AnalyticFunction):
     def derivative(self, order: int, x: float) -> float:
         return _horner(self._coeffs_of_order(order), x)
 
-    def _as_piecewise(self, order: int, a: float, b: float) -> PiecewisePolynomial:
-        # Taylor-shift the global coefficients to the left endpoint.
+    def _stationary_points(self, order: int, a: float, b: float) -> list[float]:
+        return real_roots(self._coeffs_of_order(order + 1), a, b)
+
+    def _zeros(self, order: int, a: float, b: float) -> list[float]:
+        return real_roots(self._coeffs_of_order(order), a, b)
+
+    def _l2_sq(self, order: int, a: float, b: float) -> float:
+        # Taylor-shift to the left endpoint, so the integral runs over [0, b - a]
+        # and does not cancel between two large antiderivative values.
         shifted = list(self._coeffs_of_order(order))
-        count = len(shifted)
-        for i in range(count):
-            for j in range(count - 2, i - 1, -1):
+        for i in range(len(shifted)):
+            for j in range(len(shifted) - 2, i - 1, -1):
                 shifted[j] += a * shifted[j + 1]
-        return PiecewisePolynomial(breakpoints=(a, b), segments=(tuple(shifted),))
-
-    def band(self, order: int, a: float, b: float) -> DerivativeBand:
-        check_int("derivative order", order, 1)
-        a, b = check_interval(a, b)
-        lo, hi = self._as_piecewise(order, a, b).extrema(a, b)
-        return DerivativeBand(gamma=lo, Gamma=hi, order=order)
-
-    def norm_data(self, order: int, a: float, b: float) -> NormData:
-        check_int("derivative order", order, 1)
-        a, b = check_interval(a, b)
-        stats = self._as_piecewise(order, a, b).norm_stats(a, b)
-        return self._exact_norms(order, a, b, stats.l1, stats.l2_sq, stats.max_abs)
+        return _integral_on(_square_coeffs(tuple(shifted)), 0.0, b - a)
 
 
 BUILTIN_NAMES = ("exp", "sin", "runge", "poly:c0,c1,...")

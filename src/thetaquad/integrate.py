@@ -258,8 +258,8 @@ def composite_integrate(
 class SharpnessReport:
     """Did the sharp bound attain equality on its extremal integrand?
 
-    lhs is the attained error measure computed by brute force from the
-    kernel polynomial, rhs the closed-form sharp bound evaluated at
+    lhs is the attained error measure computed from the exact kernel
+    statistics, rhs the closed-form sharp bound evaluated at
     sigma(K); ratio = lhs / rhs should be 1 up to roundoff.  When the
     end-to-end reconstruction runs, end_to_end_error is the oracle-measured
     rule error of the reconstructed integrand (also equal to rhs in exact
@@ -314,9 +314,9 @@ def sharpness_check(
     """Verify the sharp bound attains equality for the kernel-shaped integrand.
 
     The attained error measure is int K^2 for odd n and
-    int K^2 - (1/(b-a))(int K)^2 for even n, both evaluated by brute force
-    from the kernel polynomial; the closed-form sharp bound at sigma(K)
-    (taken from the closed kernel stats) must match it.  With ``end_to_end``
+    int K^2 - (1/(b-a))(int K)^2 for even n, both from kernel_stats_brute,
+    which rounds each exact integral once; the closed-form sharp bound at
+    sigma(K) (taken from the closed kernel stats) must match it.  With ``end_to_end``
     (n <= 4 only) the extremal integrand is reconstructed by repeated
     antidifferentiation and pushed through the rule and the oracle, and
     the measured rule error is reported as well.

@@ -11,9 +11,9 @@ f^(n) against the kernel
 
 with mid = (a + b)/2.  Everything a certificate needs about K — its integral,
 the integral of |K|, its sup norm, the integral of K^2 and (for even n) the
-sup norm of K minus its mean — has a closed form, implemented here next to a
-brute-force evaluation path through the poly module so the two can be checked
-against each other.
+sup norm of K minus its mean — has a closed form, implemented here next to an
+exact evaluation in rational arithmetic from the definition above, so the two
+can be checked against each other.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ class RuleSpec:
 
 @dataclass(frozen=True)
 class KernelStats:
-    """Closed-form (or brute-force) statistics of one kernel.
+    """Closed-form (or exact rational) statistics of one kernel.
 
     centered_max_abs is the sup norm of K minus its interval mean; it only
     enters even-order certificates and is None for odd n.
@@ -225,23 +225,53 @@ def kernel_stats_closed(spec: RuleSpec) -> KernelStats:
 
 
 def kernel_stats_brute(spec: RuleSpec) -> KernelStats:
-    """The same statistics computed from the piecewise polynomial itself.
+    """The same statistics computed exactly from the kernel's definition.
 
-    Exercises a completely different code path (poly-module integration,
-    sign-change isolation, stationary-point search) so disagreement with
-    kernel_stats_closed flags an error in one of the two.
+    Each half of K is p(u)/n! with p(u) = u^n - c u^(n-1): u = x - a on
+    [a, mid] with c = theta n (b - a)/2, and u = x - b on [mid, b] with c
+    negated.  Its interior root u = c and stationary point u = c(n-1)/n are
+    rational, so every statistic is a finite sum of monomial integrals and
+    point values in ``fractions.Fraction``, rounded to float once.  No
+    closed form is reused, so disagreement with kernel_stats_closed flags an
+    error in one of the two.
     """
-    kern = build_kernel(spec)
-    integral = kern.definite_integral(spec.a, spec.b)
-    stats = kern.norm_stats(spec.a, spec.b)
-    centered: float | None = None
-    if spec.n % 2 == 0:
-        mean = integral / spec.width
-        centered = kern.add_constant(-mean).norm_stats(spec.a, spec.b).max_abs
+    from fractions import Fraction  # deferred: only this cross-check needs it
+
+    n = spec.n
+    a, b = Fraction(spec.a), Fraction(spec.b)
+    h = (b - a) / 2
+    c_left = Fraction(spec.theta) * n * h
+
+    def p(u, c):
+        return u ** (n - 1) * (u - c)
+
+    def p_antiderivative(u, c):
+        return u**n * (u / (n + 1) - c / n)
+
+    def p_squared_antiderivative(u, c):
+        return u ** (2 * n - 1) * (u * u / (2 * n + 1) - c * u / n + c * c / (2 * n - 1))
+
+    integral = abs_integral = l2_sq = Fraction(0)
+    values = []
+    for c, lo, hi in ((c_left, Fraction(0), h), (-c_left, -h, Fraction(0))):
+        cuts = [lo, c, hi] if lo < c < hi else [lo, hi]
+        pieces = [
+            p_antiderivative(right, c) - p_antiderivative(left, c)
+            for left, right in zip(cuts, cuts[1:])
+        ]
+        integral += sum(pieces)
+        abs_integral += sum(map(abs, pieces))
+        l2_sq += p_squared_antiderivative(hi, c) - p_squared_antiderivative(lo, c)
+        values += [p(u, c) for u in (lo, hi, c * (n - 1) / n) if lo <= u <= hi]
+
+    fact = math.factorial(n)
+    mean = integral / (b - a)
     return KernelStats(
-        integral=integral,
-        abs_integral=stats.l1,
-        max_abs=stats.max_abs,
-        l2_sq=stats.l2_sq,
-        centered_max_abs=centered,
+        integral=float(integral / fact),
+        abs_integral=float(abs_integral / fact),
+        max_abs=float(max(map(abs, values)) / fact),
+        l2_sq=float(l2_sq / fact**2),
+        centered_max_abs=(
+            float(max(abs(v - mean) for v in values) / fact) if n % 2 == 0 else None
+        ),
     )

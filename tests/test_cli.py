@@ -3,6 +3,7 @@ import io
 import json
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -80,8 +81,12 @@ def test_golden_values_still_mean_what_they_say():
         math.ulp(res["true_error"])
     )
 
+    # Both sides are int K^2 = 1/48, rounded once: lhs from the exact kernel,
+    # rhs from the closed form.
     sharp = json.loads((GOLDEN / "sharpness_n1_averaged.json").read_text())
-    assert sharp["results"]["ratio"] == pytest.approx(1.0, abs=1e-10)
+    res = sharp["results"]
+    assert res["lhs"] == res["rhs"] == float(Fraction(1, 48))
+    assert res["ratio"] == 1.0
 
 
 def test_identical_args_produce_identical_bytes(capsys):
@@ -232,6 +237,17 @@ def test_bound_sharp_from_builtin_sigma(capsys):
         "--theta", "0.5", "--a", "0", "--b", "1",
     )
     assert record["results"]["bound"] > 0.0
+
+
+def test_bound_l1_of_a_cubic_with_a_far_root(capsys):
+    # f' has a root near 160 on [0, 1000]: a grid-and-tolerance root finder
+    # once bisected this bracket forever
+    record = run_json(
+        capsys, "bound", "--f",
+        "poly:0.0,-348.40702727723703,1.1936488591464942,-0.0002707602754838434",
+        "--n", "1", "--theta", "0.5", "--a", "0", "--b", "1000", "--bound", "l1",
+    )
+    assert record["results"]["l1"] == 627151.5444602959
 
 
 @pytest.mark.parametrize("kind", CERTIFICATES)

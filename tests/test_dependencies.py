@@ -1,5 +1,6 @@
 """The package runs on the standard library alone (``dependencies = []``),
-and its modules import each other without a cycle."""
+its command line starts without the exact-arithmetic modules, and its
+modules import each other without a cycle."""
 
 import ast
 import json
@@ -15,16 +16,27 @@ sys.path.insert(0, sys.argv[1])
 import thetaquad.cli
 top = {name.partition(".")[0] for name in sys.modules}
 print(json.dumps(sorted(top - set(sys.stdlib_module_names) - {"thetaquad", "__main__"})))
+print(json.dumps(sorted(top & {"fractions", "decimal"})))
 """
 
 
-def test_cli_imports_only_the_standard_library():
+def cli_import_probe() -> list[list[str]]:
     # -S skips site, so no site-packages directory is on the path at all.
     out = subprocess.run(
         [sys.executable, "-S", "-c", PROBE, str(SRC)],
         capture_output=True, text=True, check=True, timeout=60,
     ).stdout
-    assert json.loads(out) == []
+    return [json.loads(line) for line in out.splitlines()]
+
+
+def test_cli_imports_only_the_standard_library():
+    assert cli_import_probe()[0] == []
+
+
+def test_cli_start_up_skips_exact_arithmetic():
+    # fractions (which imports decimal) costs milliseconds; only the exact
+    # kernel cross-check needs it, and it imports it when it runs.
+    assert cli_import_probe()[1] == []
 
 
 def package_imports(package: Path) -> dict[str, set[str]]:

@@ -191,17 +191,41 @@ def test_sampled_values_respect_claimed_bounds(a, b, order):
         assert max(vals) <= band.Gamma + 1e-12
 
 
+def check_norm_interrelations(nd, width, slack=0.0):
+    assert nd.l1 <= nd.linf * width * (1.0 + 1e-12) + slack
+    assert nd.l2**2 <= nd.linf * nd.l1 * (1.0 + 1e-12) + slack
+    assert nd.l1 <= nd.l2 * math.sqrt(width) * (1.0 + 1e-12) + slack
+    assert nd.sigma <= nd.l2**2 * (1.0 + 1e-12) + slack
+    assert abs(nd.endpoint_diff_rate) * width <= nd.l1 * (1.0 + 1e-12) + slack
+
+
 @pytest.mark.parametrize("a,b", INTERVALS)
 def test_norm_interrelations(a, b):
-    width = b - a
-    for fn in (Exponential(), Sine(3.0), Runge()):
+    poly = PolynomialFunction((1.0, -1.0, 0.5, 2.0, -0.25, 0.125, 1.0))
+    for fn in (Exponential(), Sine(3.0), Runge(), poly):
         for order in (1, 2, 4):
-            nd = fn.norm_data(order, a, b)
-            assert nd.l1 <= nd.linf * width * (1.0 + 1e-12)
-            assert nd.l2**2 <= nd.linf * nd.l1 * (1.0 + 1e-12)
-            assert nd.l1 <= nd.l2 * math.sqrt(width) * (1.0 + 1e-12)
-            assert nd.sigma <= nd.l2**2 * (1.0 + 1e-12)
-            assert abs(nd.endpoint_diff_rate) * width <= nd.l1 * (1.0 + 1e-12)
+            check_norm_interrelations(fn.norm_data(order, a, b), b - a)
+
+
+poly_coeffs = st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=1, max_size=7)
+
+
+@settings(max_examples=60)
+@given(poly_coeffs, st.integers(min_value=1, max_value=3), st.sampled_from(INTERVALS))
+def test_polynomial_norm_interrelations(coeffs, order, interval):
+    """Classic norm comparisons, with slack for roundoff at the sup's scale."""
+    a, b = interval
+    nd = PolynomialFunction(tuple(coeffs)).norm_data(order, a, b)
+    check_norm_interrelations(nd, b - a, slack=1e-9 * (1.0 + nd.linf) ** 2)
+
+
+@settings(max_examples=60)
+@given(poly_coeffs, st.integers(min_value=0, max_value=50))
+def test_polynomial_band_brackets_sampled_values(coeffs, i):
+    f = PolynomialFunction(tuple(coeffs))
+    band = f.band(1, 0.0, 1.0)
+    v = f.derivative(1, i / 50.0)
+    assert band.gamma - 1e-9 <= v <= band.Gamma + 1e-9
 
 
 def test_polynomial_metadata_against_direct_integration():
@@ -221,6 +245,44 @@ def test_polynomial_band_covers_negative_dips():
     band = f.band(1, 0.0, 1.0)  # derivative 3x^2 - 2x dips to -1/3 at x=1/3
     assert band.gamma == pytest.approx(-1.0 / 3.0, rel=1e-12)
     assert band.Gamma == pytest.approx(1.0, rel=1e-12)
+
+
+def test_polynomial_norms_split_at_sign_changes():
+    # f' = x^2 - 1/4 on [-1, 1]: zeros at +-1/2 must be split for the l1 norm
+    nd = PolynomialFunction((0.0, -0.25, 0.0, 1.0 / 3.0)).norm_data(1, -1.0, 1.0)
+    assert nd.l1 == pytest.approx(0.5, rel=1e-12)
+    assert nd.linf == pytest.approx(0.75, rel=1e-12)
+    assert nd.l2**2 == pytest.approx(23.0 / 120.0, rel=1e-12)
+
+
+def test_polynomial_norms_of_a_line():
+    # f' = x - 1/2 on [0, 1]
+    nd = PolynomialFunction((0.0, -0.5, 0.5)).norm_data(1, 0.0, 1.0)
+    assert nd.l1 == pytest.approx(0.25, rel=1e-13)
+    assert nd.linf == pytest.approx(0.5, rel=1e-13)
+    assert nd.l2**2 == pytest.approx(1.0 / 12.0, rel=1e-13)
+
+
+def test_polynomial_interior_max_found_without_sign_change():
+    # f' = 3/4 + x - x^2 = 1 - (x - 1/2)^2 peaks strictly inside [0, 1]
+    f = PolynomialFunction((0.0, 0.75, 0.5, -1.0 / 3.0))
+    assert f.norm_data(1, 0.0, 1.0).linf == pytest.approx(1.0, rel=1e-13)
+    band = f.band(1, 0.0, 1.0)
+    assert band.Gamma == pytest.approx(1.0, rel=1e-13)
+    assert band.gamma == pytest.approx(0.75, rel=1e-13)
+
+
+def test_polynomial_beyond_its_degree_has_zero_norms():
+    nd = PolynomialFunction((4.0,)).norm_data(1, 0.0, 1.0)
+    assert nd.l1 == nd.l2 == nd.linf == 0.0
+
+
+def test_polynomial_metadata_validates_the_interval():
+    f = PolynomialFunction((0.0, 1.0))
+    with pytest.raises(ValidationError):
+        f.norm_data(1, 0.8, 0.2)
+    with pytest.raises(ValidationError):
+        f.band(1, 0.5, 0.5)
 
 
 def test_order_zero_metadata_is_rejected():

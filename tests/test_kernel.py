@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +15,7 @@ from thetaquad import (
 )
 
 thetas = st.floats(min_value=0.0, max_value=1.0)
-orders = st.integers(min_value=1, max_value=8)
+orders = st.integers(min_value=1, max_value=40)
 
 
 def spec(theta, n, a=0.0, b=1.0):
@@ -77,8 +78,10 @@ def test_kernel_vanishes_at_endpoints_for_higher_orders():
 
 @given(thetas, orders)
 @settings(max_examples=80, deadline=None)
-# K(a) is exactly 0 and the left root lies in the first probe cell
+# the left root of K sits next to a: a root finder with a probe grid lost it
 @example(theta=0.00390625, n=2)
+@example(theta=0.0038220303149203447, n=3)
+@example(theta=0.006006367891288502, n=2)
 def test_closed_stats_match_brute_force(theta, n):
     s = spec(theta, n, a=-1.0, b=2.0)
     closed = kernel_stats_closed(s)
@@ -96,6 +99,16 @@ def test_closed_stats_match_brute_force(theta, n):
         assert close(closed.centered_max_abs, brute.centered_max_abs)
     else:
         assert closed.centered_max_abs is None
+
+
+def test_brute_stats_are_exact_then_rounded_once():
+    """theta = 1/2, n = 1 on [0, 1]: K = x - 1/4, then x - 3/4, by hand."""
+    stats = kernel_stats_brute(spec(0.5, 1))
+    assert stats.integral == 0.0
+    assert stats.abs_integral == 1.0 / 8.0
+    assert stats.max_abs == 1.0 / 4.0
+    assert stats.l2_sq == float(Fraction(1, 48))
+    assert stats.centered_max_abs is None
 
 
 @given(thetas, st.integers(min_value=0, max_value=3))

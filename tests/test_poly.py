@@ -1,10 +1,11 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from thetaquad import DomainError, PiecewisePolynomial, ValidationError
+from thetaquad.poly import real_roots
 
 coeff = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 coeff_lists = st.lists(coeff, min_size=1, max_size=6)
@@ -54,14 +55,6 @@ def test_eval_outside_domain_raises():
     assert p.eval(1.0 + 1e-15) == pytest.approx(3.0)
 
 
-def test_range_queries_validate_their_interval():
-    p = single([0.0, 1.0])
-    with pytest.raises(ValidationError):
-        p.definite_integral(0.8, 0.2)
-    with pytest.raises(DomainError):
-        p.norm_stats(-0.5, 0.5)
-
-
 @given(coeff_lists, st.floats(min_value=0.0, max_value=1.0))
 def test_horner_matches_naive_powers(coeffs, x):
     p = single(coeffs)
@@ -88,76 +81,17 @@ def test_antiderivative_is_continuous_across_breakpoints(c1, c2, left_value):
 
 
 @given(coeff_lists, st.floats(min_value=0.1, max_value=0.9))
-def test_definite_integral_matches_antiderivative_difference(coeffs, split):
+def test_antiderivative_difference_is_the_integral(coeffs, split):
     p = single(coeffs)
     big = p.antiderivative()
-    assert p.definite_integral(0.0, split) == pytest.approx(
-        big(split) - big(0.0), rel=1e-12, abs=1e-12
-    )
+    exact = math.fsum(c * split ** (k + 1) / (k + 1) for k, c in enumerate(coeffs))
+    assert big(split) - big(0.0) == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
 
-def test_definite_integral_spans_breakpoints():
+def test_antiderivative_integrates_across_breakpoints():
     p = PiecewisePolynomial((0.0, 1.0, 2.0), ((0.0, 2.0), (1.0,)))
     # ∫0..1 2x dx + ∫1..1.5 1 dx
-    assert p.definite_integral(0.0, 1.5) == pytest.approx(1.5, abs=1e-14)
-
-
-def test_add_constant_shifts_values_and_integral():
-    p = single([0.0, 1.0])
-    q = p.add_constant(2.5)
-    assert q(0.4) == pytest.approx(p(0.4) + 2.5, abs=1e-14)
-    assert q.definite_integral(0.0, 1.0) == pytest.approx(0.5 + 2.5, abs=1e-14)
-
-
-def test_norm_stats_known_values_with_sign_change():
-    # x^2 - 1/4 on [-1, 1]: zeros at +-1/2 must be split for the L1 norm
-    p = PiecewisePolynomial((-1.0, 1.0), ((0.75, -2.0, 1.0),))  # (u-1)^2 - 1/4
-    stats = p.norm_stats(-1.0, 1.0)
-    assert stats.l1 == pytest.approx(0.5, rel=1e-12)
-    assert stats.max_abs == pytest.approx(0.75, rel=1e-12)
-    assert stats.l2_sq == pytest.approx(23.0 / 120.0, rel=1e-12)
-
-
-def test_norm_stats_linear_exact():
-    # x - 1/2 on [0, 1]
-    p = single([-0.5, 1.0])
-    stats = p.norm_stats(0.0, 1.0)
-    assert stats.l1 == pytest.approx(0.25, rel=1e-13)
-    assert stats.max_abs == pytest.approx(0.5, rel=1e-13)
-    assert stats.l2_sq == pytest.approx(1.0 / 12.0, rel=1e-13)
-
-
-def test_interior_max_found_without_sign_change():
-    # -(x-1/2)^2 + 1 peaks strictly inside the interval
-    p = single([0.75, 1.0, -1.0])
-    stats = p.norm_stats(0.0, 1.0)
-    assert stats.max_abs == pytest.approx(1.0, rel=1e-13)
-    lo, hi = p.extrema(0.0, 1.0)
-    assert hi == pytest.approx(1.0, rel=1e-13)
-    assert lo == pytest.approx(0.75, rel=1e-13)
-
-
-@settings(max_examples=60)
-@given(coeff_lists, coeff_lists)
-def test_norm_inequalities(c1, c2):
-    """Classic norm comparisons on a two-piece polynomial."""
-    p = PiecewisePolynomial((0.0, 0.4, 1.0), (tuple(c1), tuple(c2)))
-    stats = p.norm_stats(0.0, 1.0)
-    width = 1.0
-    slack = 1e-9 * (1.0 + stats.max_abs) ** 2
-    assert stats.l1 <= stats.max_abs * width + slack
-    assert stats.l2_sq <= stats.max_abs**2 * width + slack
-    assert stats.l1 >= abs(p.definite_integral(0.0, 1.0)) - slack
-
-
-@settings(max_examples=60)
-@given(coeff_lists, st.integers(min_value=0, max_value=50))
-def test_extrema_bracket_sampled_values(coeffs, i):
-    p = single(coeffs)
-    lo, hi = p.extrema(0.0, 1.0)
-    x = i / 50.0
-    v = p(x)
-    assert lo - 1e-9 <= v <= hi + 1e-9
+    assert p.antiderivative()(1.5) == pytest.approx(1.5, abs=1e-14)
 
 
 def test_derivative_drops_degree_and_matches_calculus():
@@ -171,4 +105,57 @@ def test_constant_polynomial_derivative_is_zero():
     p = single([4.0])
     d = p.derivative()
     assert d(0.5) == 0.0
-    assert d.norm_stats(0.0, 1.0).l1 == 0.0
+    assert d.segments == ((0.0,),)
+
+
+# ---------------------------------------------------------------- real_roots
+
+
+def test_real_roots_finds_every_crossing_in_order():
+    # (u - 1/4)(u - 1/2)(u - 3/4) on [0, 1]
+    coeffs = (-0.09375, 0.6875, -1.5, 1.0)
+    assert real_roots(coeffs, 0.0, 1.0) == [0.25, 0.5, 0.75]
+
+
+def test_real_roots_skips_a_root_at_an_interval_end():
+    # u (u - 1/2): the root at u = 0 is an end of [0, 1], not inside it
+    coeffs = (0.0, -0.5, 1.0)
+    assert real_roots(coeffs, 0.0, 1.0) == [0.5]
+    assert real_roots(coeffs, 0.0, 0.5) == []
+    assert real_roots(coeffs, -1.0, 0.0) == []
+
+
+def test_real_roots_reports_a_touching_double_root_once():
+    # (u - 1/2)^2 touches zero at its stationary point without crossing
+    assert real_roots((0.25, -1.0, 1.0), 0.0, 1.0) == [0.5]
+    # u^3 crosses where its derivative only touches zero
+    assert real_roots((0.0, 0.0, 0.0, 1.0), -1.0, 1.0) == [0.0]
+
+
+@pytest.mark.parametrize("coeffs", [(3.0,), (0.0,), (0.0, 0.0, 0.0)])
+def test_real_roots_of_constant_or_zero_polynomial_is_empty(coeffs):
+    assert real_roots(coeffs, -1.0, 1.0) == []
+
+
+def test_real_roots_bisects_to_adjacent_floats():
+    # u^2 - 2: the root sqrt(2) is irrational, so it lies between two floats
+    (root,) = real_roots((-2.0, 0.0, 1.0), 0.0, 2.0)
+    assert root <= math.sqrt(2.0) <= math.nextafter(root, math.inf)
+
+
+@given(st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=5))
+def test_real_roots_brackets_every_sampled_sign_change(zeros):
+    """A polynomial built from its roots: each crossing shows up once."""
+    coeffs = (1.0,)
+    for z in zeros:  # multiply by (u - z)
+        coeffs = tuple(
+            (coeffs[k - 1] if k >= 1 else 0.0) - z * (coeffs[k] if k < len(coeffs) else 0.0)
+            for k in range(len(coeffs) + 1)
+        )
+    found = real_roots(coeffs, -2.0, 2.0)
+    assert found == sorted(found)
+    xs = [-2.0 + 4.0 * i / 400 for i in range(401)]
+    values = [math.prod(x - z for z in zeros) for x in xs]
+    for x0, x1, v0, v1 in zip(xs, xs[1:], values, values[1:]):
+        if (v0 < 0.0 < v1 or v1 < 0.0 < v0) and min(abs(v0), abs(v1)) > 1e-9:
+            assert any(x0 <= r <= x1 for r in found)
