@@ -14,15 +14,17 @@ L1                  |I - F_n| <= max|K| * ||f^(n)||_1              any n
 L2                  |I - F_n| <= ||K||_2 * ||f^(n)||_2             any n
 Linf                |I - F_n| <= int|K| * ||f^(n)||_inf            any n
 BandOdd             |I - F_n| from gamma <= f^(n) <= Gamma         odd n
-OneSidedOdd*        |I - F_n| from a single band edge + the
+OneSidedOdd         |I - F_n| from a single band edge + the
                     endpoint difference rate of f^(n-1)            odd n
-PerturbedEven*      |I - F_n - perturbation| likewise              even n
+PerturbedEven       |I - F_n - perturbation| likewise              even n
 SharpOdd/SharpEven  best-constant bound via sigma(f^(n))           by parity
 ==================  =============================================  =========
 
 F_n is the corrected rule value; I the true integral; sigma(g) the squared
-l2 norm of g minus (b-a) times its squared mean.  ``certify`` builds any of
-them from a certificate name in CERTIFICATES.
+l2 norm of g minus (b-a) times its squared mean.  A one-sided certificate
+records its side in its half-infinite band: a finite gamma is the lower edge,
+a finite Gamma the upper one.  ``certify`` builds any of them from a
+certificate name in CERTIFICATES.
 """
 
 from __future__ import annotations
@@ -35,9 +37,10 @@ from .errors import ValidationError, check_int
 from .kernel import (
     RuleSpec,
     closed_abs_integral,
+    closed_centered_l2_sq,
+    closed_l2_sq,
     closed_max_abs,
     kernel_centered_max_closed,
-    l2_bracket,
 )
 
 __all__ = [
@@ -120,10 +123,8 @@ class CertificateKind(enum.Enum):
     L2 = "L2"
     LINF = "Linf"
     BAND_ODD = "BandOdd"
-    ONE_SIDED_ODD_LOWER = "OneSidedOddLower"
-    ONE_SIDED_ODD_UPPER = "OneSidedOddUpper"
-    PERTURBED_EVEN_LOWER = "PerturbedEvenLower"
-    PERTURBED_EVEN_UPPER = "PerturbedEvenUpper"
+    ONE_SIDED_ODD = "OneSidedOdd"
+    PERTURBED_EVEN = "PerturbedEven"
     SHARP_ODD = "SharpOdd"
     SHARP_EVEN = "SharpEven"
 
@@ -173,16 +174,6 @@ def _certificate(
     )
 
 
-def _l2_coefficient(spec: RuleSpec, bracket: float) -> float:
-    """(b-a)^(n+1/2) / (n! 2^n) * sqrt(bracket / ((2n+1)(2n-1)))."""
-    n = spec.n
-    return (
-        spec.width ** (n + 0.5)
-        / (math.factorial(n) * 2.0**n)
-        * math.sqrt(bracket / ((2 * n + 1) * (2 * n - 1)))
-    )
-
-
 def bound_l1(
     spec: RuleSpec, norm1: float, provenance: str = "user-supplied"
 ) -> ErrorCertificate:
@@ -194,10 +185,9 @@ def bound_l1(
 def bound_l2(
     spec: RuleSpec, norm2: float, provenance: str = "user-supplied"
 ) -> ErrorCertificate:
-    """|I - F_n| <= ||K||_2 * ||f^(n)||_2, with ||K||_2 in closed form."""
+    """|I - F_n| <= ||K||_2 * ||f^(n)||_2, with ||K||_2 = sqrt(closed_l2_sq)."""
     norms = NormData(l2=norm2, provenance=provenance)
-    coeff = _l2_coefficient(spec, l2_bracket(spec.n, spec.theta))
-    return _certificate(CertificateKind.L2, spec, coeff * norm2, norms)
+    return _certificate(CertificateKind.L2, spec, math.sqrt(closed_l2_sq(spec)) * norm2, norms)
 
 
 def bound_linf(
@@ -208,14 +198,18 @@ def bound_linf(
     return _certificate(CertificateKind.LINF, spec, closed_abs_integral(spec) * norminf, norms)
 
 
-def bound_band_odd(spec: RuleSpec, band: DerivativeBand) -> ErrorCertificate:
-    """Two-sided band bound for odd n: half the band width replaces the sup norm."""
-    if spec.n % 2 != 1:
-        raise ValidationError("the band bound applies to odd n only")
+def _check_band_order(spec: RuleSpec, band: DerivativeBand) -> None:
     if band.order != spec.n:
         raise ValidationError(
             f"band is for derivative order {band.order}, rule expects {spec.n}"
         )
+
+
+def bound_band_odd(spec: RuleSpec, band: DerivativeBand) -> ErrorCertificate:
+    """Two-sided band bound for odd n: half the band width replaces the sup norm."""
+    if spec.n % 2 != 1:
+        raise ValidationError("the band bound applies to odd n only")
+    _check_band_order(spec, band)
     if not (math.isfinite(band.gamma) and math.isfinite(band.Gamma)):
         raise ValidationError("the two-sided band bound needs finite gamma and Gamma")
     half_width = 0.5 * (band.Gamma - band.gamma)
@@ -242,9 +236,8 @@ def _one_sided(
         band = DerivativeBand(gamma=band_edge, Gamma=math.inf, order=spec.n)
     else:
         band = DerivativeBand(gamma=-math.inf, Gamma=band_edge, order=spec.n)
-    family = "PERTURBED_EVEN" if perturbed else "ONE_SIDED_ODD"
     return _certificate(
-        CertificateKind[f"{family}_{side.upper()}"],
+        CertificateKind.PERTURBED_EVEN if perturbed else CertificateKind.ONE_SIDED_ODD,
         spec,
         abs(rate - band_edge) * spec.width * sup,
         NormData(endpoint_diff_rate=rate),
@@ -285,23 +278,18 @@ def bound_sharp(
 ) -> ErrorCertificate:
     """Best-constant bound from sigma(f^(n)).
 
-    Odd n bounds |I - F_n| by ||K||_2 sqrt(sigma); even n = 2m bounds the
-    perturbed-rule error by sqrt(sigma(K)) sqrt(sigma), where sigma(K)
-    subtracts the kernel's squared mean.  Equality is attained when f^(n) is
-    a scalar multiple of K (plus a constant in the even case), which is what
-    the sharpness harness reconstructs.
+    The budget is sqrt(sigma(K)) sqrt(sigma) with sigma(K) from
+    closed_centered_l2_sq.  For odd n, sigma(K) = ||K||_2^2 and the budget
+    bounds |I - F_n|; for even n it bounds the perturbed-rule error.
+    Equality is attained when f^(n) is a scalar multiple of K (plus a
+    constant in the even case), which is what the sharpness harness
+    reconstructs.
     """
     norms = NormData(sigma=sigma, provenance=provenance)
-    n = spec.n
-    bracket = l2_bracket(n, spec.theta)
-    even = n % 2 == 0
-    if even:
-        m = n // 2
-        bracket -= (16 * m * m - 1) * (1.0 / (2 * m + 1) - spec.theta) ** 2
-        bracket = max(bracket, 0.0)  # guard roundoff at near-degenerate theta
+    even = spec.n % 2 == 0
     kind = CertificateKind.SHARP_EVEN if even else CertificateKind.SHARP_ODD
-    coeff = _l2_coefficient(spec, bracket)
-    return _certificate(kind, spec, coeff * math.sqrt(sigma), norms, covers_perturbed_rule=even)
+    bound = math.sqrt(closed_centered_l2_sq(spec)) * math.sqrt(sigma)
+    return _certificate(kind, spec, bound, norms, covers_perturbed_rule=even)
 
 
 #: Certificate name -> the NormData field it consumes.  "band" also needs a
@@ -347,6 +335,7 @@ def certify(
         return bound[kind](spec, _datum(spec, kind, norms), norms.provenance)
     if band is None:
         raise ValidationError("certificate 'band' needs a DerivativeBand")
+    _check_band_order(spec, band)
     if spec.n % 2 == 1:
         return bound_band_odd(spec, band)
     if rate is None:

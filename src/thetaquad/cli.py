@@ -190,6 +190,7 @@ def _certificate_payload(cert: ErrorCertificate) -> dict:
     elif band is not None:  # one-sided: the finite edge is the datum
         lower = math.isfinite(band.gamma)
         out["side"] = "lower" if lower else "upper"
+        out["theorem"] += out["side"].capitalize()
         out["band_edge"] = band.gamma if lower else band.Gamma
     if norms is not None:
         for field in ("l1", "l2", "linf", "endpoint_diff_rate", "sigma"):

@@ -258,12 +258,12 @@ def composite_integrate(
 class SharpnessReport:
     """Did the sharp bound attain equality on its extremal integrand?
 
-    lhs is the attained error measure computed from the exact kernel
-    statistics, rhs the closed-form sharp bound evaluated at
-    sigma(K); ratio = lhs / rhs should be 1 up to roundoff.  When the
-    end-to-end reconstruction runs, end_to_end_error is the oracle-measured
-    rule error of the reconstructed integrand (also equal to rhs in exact
-    arithmetic), otherwise None.
+    lhs is sigma(K) = int K^2 - (int K)^2/(b - a) from the exact kernel
+    statistics, rhs the closed-form sharp bound evaluated at sigma(f^(n)) =
+    sigma(K) from the closed ones; ratio = lhs / rhs should be 1 up to
+    roundoff.  When the end-to-end reconstruction runs, end_to_end_error is
+    the oracle-measured rule error of the reconstructed integrand (also
+    equal to rhs in exact arithmetic), otherwise None.
     """
 
     n: int
@@ -313,23 +313,16 @@ def sharpness_check(
 ) -> SharpnessReport:
     """Verify the sharp bound attains equality for the kernel-shaped integrand.
 
-    The attained error measure is int K^2 for odd n and
-    int K^2 - (1/(b-a))(int K)^2 for even n, both from kernel_stats_brute,
-    which rounds each exact integral once; the closed-form sharp bound at
-    sigma(K) (taken from the closed kernel stats) must match it.  With ``end_to_end``
+    The attained error measure is sigma(K) = int K^2 - (int K)^2/(b - a)
+    (int K = 0 for odd n), the centered_l2_sq of kernel_stats_brute, exact
+    and rounded once; the closed-form sharp bound at sigma(K) (the
+    centered_l2_sq of kernel_stats_closed) must match it.  With ``end_to_end``
     (n <= 4 only) the extremal integrand is reconstructed by repeated
     antidifferentiation and pushed through the rule and the oracle, and
     the measured rule error is reported as well.
     """
-    brute = kernel_stats_brute(spec)
-    closed = kernel_stats_closed(spec)
-    if spec.n % 2 == 1:
-        lhs = brute.l2_sq
-        sigma_closed = closed.l2_sq
-    else:
-        lhs = abs(brute.l2_sq - brute.integral**2 / spec.width)
-        sigma_closed = max(closed.l2_sq - closed.integral**2 / spec.width, 0.0)
-    norms = bounds.NormData(sigma=sigma_closed, provenance="exact")
+    lhs = kernel_stats_brute(spec).centered_l2_sq
+    norms = bounds.NormData(sigma=kernel_stats_closed(spec).centered_l2_sq, provenance="exact")
     rhs = bounds.certify(spec, "sharp", norms).bound
 
     e2e: float | None = None

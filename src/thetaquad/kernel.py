@@ -10,10 +10,12 @@ f^(n) against the kernel
     K(x) = (x - b)^(n-1) / n! * (x - b + theta*n*(b - a)/2)   on (mid, b],
 
 with mid = (a + b)/2.  Everything a certificate needs about K — its integral,
-the integral of |K|, its sup norm, the integral of K^2 and (for even n) the
-sup norm of K minus its mean — has a closed form, implemented here next to an
-exact evaluation in rational arithmetic from the definition above, so the two
-can be checked against each other.
+the integral of |K|, its sup norm, the integral of K^2, the centred integral
+sigma(K) = int K^2 - (int K)^2/(b - a) and (for even n) the sup norm of K
+minus its mean — has a closed form, implemented here next to an exact
+evaluation in rational arithmetic from the definition above, so the two can
+be checked against each other.  Each certificate in ``bounds`` is one of these
+closed forms times a norm datum.
 """
 
 from __future__ import annotations
@@ -77,7 +79,9 @@ class KernelStats:
     """Closed-form (or exact rational) statistics of one kernel.
 
     centered_max_abs is the sup norm of K minus its interval mean; it only
-    enters even-order certificates and is None for odd n.
+    enters even-order certificates and is None for odd n.  centered_l2_sq is
+    sigma(K) = int K^2 - (int K)^2/(b - a), the constant of the sharp bound;
+    for odd n int K = 0 and it equals l2_sq.
     """
 
     integral: float
@@ -85,6 +89,7 @@ class KernelStats:
     max_abs: float
     l2_sq: float
     centered_max_abs: float | None
+    centered_l2_sq: float
 
 
 def _factorial(n: int) -> float:
@@ -124,9 +129,9 @@ def build_kernel(spec: RuleSpec) -> PiecewisePolynomial:
 # -- dimensionless branch factors -----------------------------------------
 #
 # Each closed form is a power of (b - a) over n! 2^n times a dimensionless
-# factor in (n, theta).  The bounds module builds its coefficients from these
-# and from the closed forms below, so a certificate and the kernel statistic
-# it rests on come from one formula.
+# factor in (n, theta).  The bounds module multiplies the closed forms below
+# by a norm datum, so a certificate and the kernel statistic it rests on come
+# from one formula.
 
 
 def max_factor(n: int, theta: float) -> float:
@@ -144,15 +149,6 @@ def max_factor(n: int, theta: float) -> float:
     if tn >= 1.0:
         return peak
     return max(1.0 - tn, peak)
-
-
-def l2_bracket(n: int, theta: float) -> float:
-    """Quadratic-in-theta numerator of the squared-l2 closed form."""
-    return (
-        theta * theta * n * n * (2 * n + 1)
-        - theta * (4 * n * n - 1)
-        + (2 * n - 1)
-    )
 
 
 def centered_factor(n: int, theta: float) -> float:
@@ -197,11 +193,25 @@ def closed_max_abs(spec: RuleSpec) -> float:
     return spec.width**n / (_factorial(n) * 2.0**n) * max_factor(n, spec.theta)
 
 
+def _l2_sq(spec: RuleSpec, centered: bool) -> float:
+    """Integral of K^2, less (int K)^2/(b - a) when ``centered`` and n is even."""
+    n, theta = spec.n, spec.theta
+    bracket = theta * theta * n * n * (2 * n + 1) - theta * (4 * n * n - 1) + (2 * n - 1)
+    if centered and n % 2 == 0:
+        # (int K)^2/(b - a) over the same denominator; clamped against roundoff
+        bracket = max(bracket - (4 * n * n - 1) * (1.0 / (n + 1) - theta) ** 2, 0.0)
+    denom = (2 * n + 1) * (2 * n - 1) * _factorial(n) ** 2 * 2.0 ** (2 * n)
+    return bracket * spec.width ** (2 * n + 1) / denom
+
+
 def closed_l2_sq(spec: RuleSpec) -> float:
     """Integral of K^2."""
-    n = spec.n
-    denom = (2 * n + 1) * (2 * n - 1) * _factorial(n) ** 2 * 2.0 ** (2 * n)
-    return l2_bracket(n, spec.theta) * spec.width ** (2 * n + 1) / denom
+    return _l2_sq(spec, centered=False)
+
+
+def closed_centered_l2_sq(spec: RuleSpec) -> float:
+    """sigma(K) = int K^2 - (int K)^2/(b - a); equals closed_l2_sq for odd n."""
+    return _l2_sq(spec, centered=True)
 
 
 def kernel_centered_max_closed(spec: RuleSpec) -> float:
@@ -221,6 +231,7 @@ def kernel_stats_closed(spec: RuleSpec) -> KernelStats:
         max_abs=closed_max_abs(spec),
         l2_sq=closed_l2_sq(spec),
         centered_max_abs=centered,
+        centered_l2_sq=closed_centered_l2_sq(spec),
     )
 
 
@@ -231,9 +242,10 @@ def kernel_stats_brute(spec: RuleSpec) -> KernelStats:
     [a, mid] with c = theta n (b - a)/2, and u = x - b on [mid, b] with c
     negated.  Its interior root u = c and stationary point u = c(n-1)/n are
     rational, so every statistic is a finite sum of monomial integrals and
-    point values in ``fractions.Fraction``, rounded to float once.  No
-    closed form is reused, so disagreement with kernel_stats_closed flags an
-    error in one of the two.
+    point values in ``fractions.Fraction``, rounded to float once; sigma(K)
+    is int K^2 - (int K)^2/(b - a) formed from those exact sums before its one
+    rounding.  No closed form is reused, so disagreement with
+    kernel_stats_closed flags an error in one of the two.
     """
     from fractions import Fraction  # deferred: only this cross-check needs it
 
@@ -274,4 +286,5 @@ def kernel_stats_brute(spec: RuleSpec) -> KernelStats:
         centered_max_abs=(
             float(max(abs(v - mean) for v in values) / fact) if n % 2 == 0 else None
         ),
+        centered_l2_sq=float((l2_sq - integral * mean) / fact**2),
     )

@@ -48,7 +48,7 @@ def spec(theta, n, a=0.0, b=1.0):
 def test_1_kernel_closed_forms_match_brute_force_everywhere():
     started = time.monotonic()
     checked = 0
-    for n in range(1, 9):
+    for n in range(1, 41):  # the verify corpus runs n = 40 witnesses
         for theta in THETA_GRID:
             for a, b in INTERVALS:
                 s = spec(theta, n, a, b)
@@ -60,6 +60,7 @@ def test_1_kernel_closed_forms_match_brute_force_everywhere():
                     (closed.abs_integral, brute.abs_integral),
                     (closed.max_abs, brute.max_abs),
                     (closed.l2_sq, brute.l2_sq),
+                    (closed.centered_l2_sq, brute.centered_l2_sq),
                 ]
                 if n % 2 == 0:
                     pairs.append((closed.centered_max_abs, brute.centered_max_abs))
@@ -70,7 +71,7 @@ def test_1_kernel_closed_forms_match_brute_force_everywhere():
                     checked += 1
     elapsed = time.monotonic() - started
     assert elapsed < 5.0, f"kernel sweep took {elapsed:.2f}s"
-    assert checked == 8 * 11 * 2 * 4 + 4 * 11 * 2  # 792 comparisons
+    assert checked == 40 * 11 * 2 * 5 + 20 * 11 * 2  # 4,840 comparisons
 
 
 def test_2_exactness_ladder():

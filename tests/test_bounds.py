@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetaquad import (
+    CERTIFICATES,
     CertificateKind,
     DerivativeBand,
     ErrorCertificate,
@@ -20,6 +21,9 @@ from thetaquad import (
     bound_one_sided_odd,
     bound_perturbed_even,
     bound_sharp,
+    certify,
+    composite_integrate,
+    kernel_stats_closed,
     sigma_functional,
 )
 
@@ -106,7 +110,7 @@ def test_one_sided_coefficient_trapezoid_cubic():
         spec(1.0, 3), side="lower", band_edge=0.0, endpoint_diff_rate=1.0
     )
     assert cert.bound == pytest.approx(1.0 / 24.0, rel=1e-14)
-    assert cert.theorem == CertificateKind.ONE_SIDED_ODD_LOWER
+    assert cert.theorem == CertificateKind.ONE_SIDED_ODD
 
 
 def test_perturbed_coefficient_parabolic_second_order():
@@ -121,6 +125,32 @@ def test_sharp_coefficient_parabolic_second_order():
     cert = bound_sharp(spec(1.0 / 3.0, 2), sigma=1.0)
     assert cert.bound == pytest.approx(math.sqrt(1.0 / 4320.0), rel=1e-13)
     assert cert.covers_perturbed_rule
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_unit_datum_budgets_are_the_kernel_statistics(n):
+    """Each certificate is a kernel statistic times its datum, bit for bit."""
+    for k in range(21):
+        s = spec(k / 20.0, n)
+        stats = kernel_stats_closed(s)
+        budgets = {
+            kind: certify(s, kind, NormData(**{field: 1.0})).bound
+            for kind, field in CERTIFICATES.items()
+            if kind != "band"
+        }
+        assert budgets == {
+            "l1": stats.max_abs,
+            "l2": math.sqrt(stats.l2_sq),
+            "linf": stats.abs_integral,
+            "sharp": math.sqrt(stats.centered_l2_sq),
+        }
+        if n % 2 == 1:
+            assert bound_band_odd(s, DerivativeBand(-1.0, 1.0, n)).bound == stats.abs_integral
+            one_sided = bound_one_sided_odd(s, "lower", 0.0, 1.0).bound
+            assert one_sided == stats.max_abs
+        else:
+            perturbed = bound_perturbed_even(s, "upper", 1.0, 0.0).bound
+            assert perturbed == stats.centered_max_abs
 
 
 # ------------------------------------------------ special-theta coefficients
@@ -247,8 +277,16 @@ def test_one_sided_parity_checks():
 
 
 def test_band_order_must_match_the_rule_order():
+    message = "band is for derivative order 4, rule expects 2"
     with pytest.raises(ValidationError):
         bound_band_odd(spec(0.5, 3), DerivativeBand(0.0, 1.0, 1))
+    with pytest.raises(ValidationError, match=message):
+        certify(spec(0.5, 2), "band", band=DerivativeBand(-1.0, 1.0, 4), rate=0.0)
+    fn = Exponential()
+    with pytest.raises(ValidationError, match=message):
+        composite_integrate(
+            fn.integrand(0.0, 1.0), spec(0.5, 2), 4, "band", band=fn.band(4, 0.0, 1.0)
+        )
 
 
 def test_band_requires_finite_edges():
@@ -310,4 +348,4 @@ def test_sharp_bound_dominated_by_l2_bound(theta, n):
     s = spec(theta, n)
     l2 = bound_l2(s, 1.0).bound
     sharp = bound_sharp(s, 1.0).bound  # sigma = 1 matches ||f^(n)||_2 = 1
-    assert sharp <= l2 * (1.0 + 1e-12)
+    assert sharp <= l2

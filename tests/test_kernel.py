@@ -95,6 +95,7 @@ def test_closed_stats_match_brute_force(theta, n):
     assert close(closed.abs_integral, brute.abs_integral)
     assert close(closed.max_abs, brute.max_abs)
     assert close(closed.l2_sq, brute.l2_sq)
+    assert close(closed.centered_l2_sq, brute.centered_l2_sq)
     if n % 2 == 0:
         assert close(closed.centered_max_abs, brute.centered_max_abs)
     else:
@@ -102,13 +103,18 @@ def test_closed_stats_match_brute_force(theta, n):
 
 
 def test_brute_stats_are_exact_then_rounded_once():
-    """theta = 1/2, n = 1 on [0, 1]: K = x - 1/4, then x - 3/4, by hand."""
+    """theta = 1/2, n = 1 on [0, 1]: K = x - 1/4, then x - 3/4, by hand.
+
+    At n = 2, int K = -1/48 and int K^2 = 1/1920, so sigma(K) = 1/11520.
+    """
     stats = kernel_stats_brute(spec(0.5, 1))
     assert stats.integral == 0.0
     assert stats.abs_integral == 1.0 / 8.0
     assert stats.max_abs == 1.0 / 4.0
     assert stats.l2_sq == float(Fraction(1, 48))
     assert stats.centered_max_abs is None
+    assert stats.centered_l2_sq == float(Fraction(1, 48))
+    assert kernel_stats_brute(spec(0.5, 2)).centered_l2_sq == float(Fraction(1, 11520))
 
 
 @given(thetas, st.integers(min_value=0, max_value=3))
