@@ -55,7 +55,6 @@ from .integrate import (
 from .kernel import (
     KernelStats,
     RuleSpec,
-    build_kernel,
     kernel_centered_max_closed,
     kernel_stats_brute,
     kernel_stats_closed,
@@ -80,7 +79,6 @@ __all__ = [
     # kernel
     "RuleSpec",
     "KernelStats",
-    "build_kernel",
     "kernel_stats_closed",
     "kernel_centered_max_closed",
     "kernel_stats_brute",

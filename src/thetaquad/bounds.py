@@ -282,8 +282,8 @@ def bound_sharp(
     closed_centered_l2_sq.  For odd n, sigma(K) = ||K||_2^2 and the budget
     bounds |I - F_n|; for even n it bounds the perturbed-rule error.
     Equality is attained when f^(n) is a scalar multiple of K (plus a
-    constant in the even case), which is what the sharpness harness
-    reconstructs.
+    constant in the even case); integrate.sharpness_check runs the rule on
+    f^(n) = K in exact arithmetic and finds the error equal to sigma(K).
     """
     norms = NormData(sigma=sigma, provenance=provenance)
     even = spec.n % 2 == 0

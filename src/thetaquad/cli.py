@@ -133,7 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_shp.add_argument(
         "--end-to-end",
         action="store_true",
-        help="also reconstruct the extremal integrand (n <= 4) and measure its error",
+        help="also run the rule on the extremal integrand in exact arithmetic and report "
+        "its error, which equals lhs",
     )
 
     return parser
@@ -327,8 +328,10 @@ def _parse_theta_grid(text: str) -> list[float]:
         raise ValidationError("--theta-grid values must be finite")
     if step <= 0.0 or end < start:
         raise ValidationError("--theta-grid needs step > 0 and end >= start")
-    count = int(math.floor((end - start) / step + 1e-9)) + 1
-    grid = [min(start + i * step, end) for i in range(count)]
+    span = (end - start) / step + 1e-9
+    if span >= 10_001:  # at most a step of 1e-4 over [0, 1], checked before listing
+        raise ValidationError("--theta-grid holds more than 10001 points")
+    grid = [min(start + i * step, end) for i in range(int(math.floor(span)) + 1)]
     if any(not 0.0 <= t <= 1.0 for t in grid):
         raise ValidationError("--theta-grid must stay inside [0, 1]")
     return grid
@@ -366,7 +369,7 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
 
 def _cmd_sharpness(args: argparse.Namespace) -> None:
     spec = _rule_spec(args)
-    report = sharpness_check(spec, end_to_end=args.end_to_end, tol=_oracle_tol())
+    report = sharpness_check(spec, end_to_end=args.end_to_end)
     results = {"lhs": report.lhs, "rhs": report.rhs, "ratio": report.ratio}
     if report.end_to_end_error is not None:
         results["end_to_end_error"] = report.end_to_end_error
@@ -407,3 +410,7 @@ def run_cli(argv: list[str]) -> int:
 
 def main() -> None:
     sys.exit(run_cli(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

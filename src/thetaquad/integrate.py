@@ -1,21 +1,15 @@
-"""Reference integration, composite rules with budgets, sharpness harness."""
+"""Reference integration, composite rules with budgets, exact sharpness check."""
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import bounds
 from .errors import ConvergenceError, ValidationError, check_int
-from .kernel import (
-    RuleSpec,
-    build_kernel,
-    closed_integral,
-    kernel_stats_brute,
-    kernel_stats_closed,
-)
-from .poly import PiecewisePolynomial
+from .kernel import RuleSpec, closed_integral, kernel_stats_brute, kernel_stats_closed
+from .poly import PiecewisePolynomial, _antiderivative_coeffs
 from .rules import Integrand, _mean_rate, _rule_value
 
 __all__ = [
@@ -182,7 +176,7 @@ def _rule_panels(
             cert = bounds.certify(pspec, certificate, norms, band, rate)
             budgets.append(cert.bound)
             perturbed = cert.covers_perturbed_rule
-        _, _, value = _rule_value(f, pspec)
+        value = math.fsum(_rule_value(f.eval_derivative, pspec.theta, pspec.n, pspec.a, pspec.b))
         if perturbed:
             value += closed_integral(pspec) * (_mean_rate(f, pspec) if rate is None else rate)
         values.append(value)
@@ -261,9 +255,9 @@ class SharpnessReport:
     lhs is sigma(K) = int K^2 - (int K)^2/(b - a) from the exact kernel
     statistics, rhs the closed-form sharp bound evaluated at sigma(f^(n)) =
     sigma(K) from the closed ones; ratio = lhs / rhs should be 1 up to
-    roundoff.  When the end-to-end reconstruction runs, end_to_end_error is
-    the oracle-measured rule error of the reconstructed integrand (also
-    equal to rhs in exact arithmetic), otherwise None.
+    roundoff.  When the end-to-end check runs, end_to_end_error is the rule
+    error of the extremal integrand in exact arithmetic, rounded once; it
+    equals lhs bit for bit.  Otherwise it is None.
     """
 
     n: int
@@ -276,64 +270,103 @@ class SharpnessReport:
     end_to_end_error: float | None = None
 
 
+def _exact_value(coeffs: list, u):
+    """sum(c_j u^j); u = 0 reads c_0, m leading zeros cost one power u^m."""
+    if not u:
+        return coeffs[0]
+    m = next((j for j, c in enumerate(coeffs) if c), len(coeffs) - 1)
+    acc = coeffs[-1]
+    for c in reversed(coeffs[m:-1]):
+        acc = acc * u + c
+    return acc * u**m if m else acc
+
+
+def _extremal_pieces(spec: RuleSpec) -> tuple[list[tuple[list, list]], tuple[list, list]]:
+    """(pieces, F): the extremal integrand f of ``spec`` in Fractions.
+
+    pieces[k] = (left, right), k = 0..n, are the ascending coefficients of
+    f^(k) in powers of x - a on [a, mid] and of x - mid on [mid, b]; F, F' = f,
+    has the same form.  pieces[n] is K from kernel_stats_brute's two halves,
+    n! K = u^(n-1) (u - c) with c = theta n (b - a)/2, u = x - a on the left
+    and u = x - b, c negated, on the right (Taylor-shifted to x - mid).  Each
+    lower order integrates the one above: zero at a, continuous at mid.
+    """
+    from fractions import Fraction  # deferred: only the exact path needs it
+
+    n = spec.n
+    h = (Fraction(spec.b) - Fraction(spec.a)) / 2
+    c = Fraction(spec.theta) * n * h
+    scale = Fraction(1, math.factorial(n))
+    left = [0] * (n - 1) + [-c * scale, scale]
+    # n! K = (t - h)^(n-1) (t - h + c) on the right, in powers of t = x - mid
+    right = [
+        (-h) ** (n - 1 - j) * (math.comb(n - 1, j) * c - math.comb(n, j) * h) * scale
+        for j in range(n)
+    ] + [scale]
+    pieces = [(left, right)]
+    for _ in range(n + 1):  # orders n-1 .. 0, then F
+        left = _antiderivative_coeffs(left, 0)
+        right = _antiderivative_coeffs(right, _exact_value(left, h))
+        pieces.append((left, right))
+    antiderivative = pieces.pop()
+    pieces.reverse()
+    return pieces, antiderivative
+
+
 def extremal_integrand(spec: RuleSpec) -> Integrand:
     """The integrand on which the sharp bound is attained.
 
-    Its n-th derivative IS the kernel of ``spec``.  Construction: f^(n-1) is
-    the order-(n+1) kernel (same theta), shifted for even n by the constant
-    -+ (1/2) int K = -+ (b-a)^(n+1) (1/(n+1) - theta) / (n! 2^(n+1)) on the
-    left/right segment so that f^(n) picks up no mean offset; lower
-    derivatives follow by repeated continuous antidifferentiation.
+    Its n-th derivative IS the kernel of ``spec``, and every lower
+    derivative is continuous: the exact pieces of ``_extremal_pieces``,
+    each coefficient rounded to float once.
     """
+    pieces, _ = _extremal_pieces(spec)
+    by_order = [PiecewisePolynomial((spec.a, spec.midpoint, spec.b), p) for p in pieces]
+    return Integrand(lambda k, x: by_order[k].eval(x), (spec.a, spec.b), max_order=spec.n)
+
+
+def _end_to_end_error(spec: RuleSpec) -> float:
+    """Exact rule error of the extremal integrand, rounded once.
+
+    The production rule formula (``rules._rule_value``) runs on the exact
+    pieces in Fraction arithmetic.  At even n the perturbation int K times
+    the mean of f^(n) joins it; both factors read int K = f^(n-1)(b) -
+    f^(n-1)(a), so it is (int K)^2/(b - a).  By the Peano identity the error
+    is then sigma(K) exactly, for every n.
+    """
+    from fractions import Fraction  # deferred: only the exact path needs it
+
+    pieces, antiderivative = _extremal_pieces(spec)
+    a, b = Fraction(spec.a), Fraction(spec.b)
+    mid = (a + b) / 2
+
+    def derivative(order: int, x):
+        left, right = pieces[order]
+        return _exact_value(left, x - a) if x < mid else _exact_value(right, x - mid)
+
     n = spec.n
-    upper = build_kernel(replace(spec, n=n + 1))
+    value = sum(_rule_value(derivative, Fraction(spec.theta), n, a, b))
     if n % 2 == 0:
-        s = 0.5 * closed_integral(spec)
-        left, right = upper.segments
-        upper = PiecewisePolynomial(
-            upper.breakpoints,
-            ((left[0] - s,) + left[1:], (right[0] + s,) + right[1:]),
-        )
-
-    by_order: list[PiecewisePolynomial] = [upper]  # starts at order n-1
-    for _ in range(n - 1):
-        by_order.insert(0, by_order[0].antiderivative(0.0))
-    by_order.append(by_order[-1].derivative())  # order n: the kernel itself
-
-    def derivative_fn(order: int, x: float) -> float:
-        return by_order[order].eval(x)
-
-    return Integrand(derivative_fn=derivative_fn, domain=(spec.a, spec.b), max_order=n)
+        int_k = derivative(n - 1, b) - derivative(n - 1, a)
+        value += int_k * int_k / (b - a)
+    integral = _exact_value(antiderivative[1], b - mid)  # F(b) - F(a), as F(a) = 0
+    return float(abs(integral - value))
 
 
-def sharpness_check(
-    spec: RuleSpec,
-    end_to_end: bool = False,
-    tol: float = DEFAULT_ORACLE_TOL,
-) -> SharpnessReport:
+def sharpness_check(spec: RuleSpec, end_to_end: bool = False) -> SharpnessReport:
     """Verify the sharp bound attains equality for the kernel-shaped integrand.
 
     The attained error measure is sigma(K) = int K^2 - (int K)^2/(b - a)
     (int K = 0 for odd n), the centered_l2_sq of kernel_stats_brute, exact
     and rounded once; the closed-form sharp bound at sigma(K) (the
-    centered_l2_sq of kernel_stats_closed) must match it.  With ``end_to_end``
-    (n <= 4 only) the extremal integrand is reconstructed by repeated
-    antidifferentiation and pushed through the rule and the oracle, and
-    the measured rule error is reported as well.
+    centered_l2_sq of kernel_stats_closed) must match it.  With
+    ``end_to_end`` the rule itself runs on the extremal integrand in exact
+    arithmetic, for any n, and its error is reported as well: it equals lhs
+    bit for bit.
     """
     lhs = kernel_stats_brute(spec).centered_l2_sq
     norms = bounds.NormData(sigma=kernel_stats_closed(spec).centered_l2_sq, provenance="exact")
     rhs = bounds.certify(spec, "sharp", norms).bound
-
-    e2e: float | None = None
-    if end_to_end:
-        if spec.n > 4:
-            raise ValidationError(
-                "end-to-end sharpness reconstruction is supported for n <= 4"
-            )
-        f = extremal_integrand(spec)
-        e2e = true_error(f, spec, perturbed=(spec.n % 2 == 0), tol=tol)
-
     return SharpnessReport(
         n=spec.n,
         theta=spec.theta,
@@ -342,5 +375,5 @@ def sharpness_check(
         lhs=lhs,
         rhs=rhs,
         ratio=lhs / rhs,
-        end_to_end_error=e2e,
+        end_to_end_error=_end_to_end_error(spec) if end_to_end else None,
     )

@@ -15,7 +15,8 @@ sigma(K) = int K^2 - (int K)^2/(b - a) and (for even n) the sup norm of K
 minus its mean — has a closed form, implemented here next to an exact
 evaluation in rational arithmetic from the definition above, so the two can
 be checked against each other.  Each certificate in ``bounds`` is one of these
-closed forms times a norm datum.
+closed forms times a norm datum; K itself is the n-th derivative of
+``integrate.extremal_integrand``.
 """
 
 from __future__ import annotations
@@ -24,12 +25,10 @@ import math
 from dataclasses import dataclass
 
 from .errors import ValidationError, check_int, check_interval
-from .poly import PiecewisePolynomial
 
 __all__ = [
     "RuleSpec",
     "KernelStats",
-    "build_kernel",
     "kernel_stats_closed",
     "kernel_centered_max_closed",
     "kernel_stats_brute",
@@ -94,36 +93,6 @@ class KernelStats:
 
 def _factorial(n: int) -> float:
     return float(math.factorial(n))
-
-
-def build_kernel(spec: RuleSpec) -> PiecewisePolynomial:
-    """The kernel as a two-segment piecewise polynomial on (a, mid, b)."""
-    n, theta = spec.n, spec.theta
-    a, b = spec.a, spec.b
-    h = 0.5 * (b - a)
-    c = 0.5 * theta * n * (b - a)
-    fact = _factorial(n)
-
-    # Left segment, u = x - a:  u^(n-1) * (u - c) / n!
-    left = [0.0] * (n + 1)
-    left[n - 1] = -c / fact
-    left[n] += 1.0 / fact
-
-    # Right segment, v = x - mid, so x - b = v - h:
-    # (v - h)^(n-1) * (v + (c - h)) / n!
-    base = [math.comb(n - 1, j) * (-h) ** (n - 1 - j) for j in range(n)]
-    right = [0.0] * (n + 1)
-    shift = c - h
-    for j, cj in enumerate(base):
-        right[j] += cj * shift
-        right[j + 1] += cj
-    for j in range(n + 1):
-        right[j] /= fact
-
-    return PiecewisePolynomial(
-        breakpoints=(a, spec.midpoint, b),
-        segments=(tuple(left), tuple(right)),
-    )
 
 
 # -- dimensionless branch factors -----------------------------------------

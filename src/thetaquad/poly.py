@@ -1,4 +1,4 @@
-"""Piecewise polynomials and the real roots of a polynomial.
+"""Piecewise polynomials for float evaluation, and the real roots of a polynomial.
 
 A piecewise polynomial is stored as a strictly increasing breakpoint grid
 ``t_0 < t_1 < ... < t_N`` together with one coefficient tuple per interval.
@@ -8,8 +8,10 @@ endpoint* of their segment: on ``[t_i, t_{i+1}]`` the value at ``x`` is
 narrow or far-from-origin segments well conditioned.
 
 At an interior breakpoint the right-hand segment wins; the final breakpoint
-belongs to the last segment.  ``real_roots`` finds the sign changes of one
-polynomial by recursion on its degree, with no probe grid and no tolerance.
+belongs to the last segment; the extremal integrand is built exactly in
+``integrate`` and rounded into this form once.  ``real_roots`` finds the
+sign changes of one polynomial by a loop down its derivative chain, with no
+probe grid and no tolerance.
 """
 
 from __future__ import annotations
@@ -41,8 +43,9 @@ def _derivative_coeffs(coeffs: tuple[float, ...]) -> tuple[float, ...]:
     return tuple(k * c for k, c in enumerate(coeffs) if k >= 1)
 
 
-def _antiderivative_coeffs(coeffs: tuple[float, ...], constant: float) -> tuple[float, ...]:
-    return (constant,) + tuple(c / (k + 1) for k, c in enumerate(coeffs))
+def _antiderivative_coeffs(coeffs, constant):
+    """Antiderivative equal to ``constant`` at 0; zero coefficients skip the division."""
+    return [constant] + [c / (k + 1) if c else c for k, c in enumerate(coeffs)]
 
 
 def _integral_on(coeffs: tuple[float, ...], u0: float, u1: float) -> float:
@@ -79,25 +82,29 @@ def _crossing(coeffs: tuple[float, ...], left: float, right: float, left_negativ
 def real_roots(coeffs: tuple[float, ...], lo: float, hi: float) -> list[float]:
     """Roots of ``sum(c_k * u**k)`` inside (lo, hi), ascending.
 
-    Recursive in the degree: the sign changes of p' cut [lo, hi] into pieces
-    on which p is monotone.  A cut where p evaluates to exactly 0 is a root;
-    otherwise a piece holds at most one crossing, which one sign test finds
-    and bisection narrows to adjacent floats.  Roots at ``lo`` or ``hi`` are
-    not reported, nor are touching roots that round to nonzero values:
-    callers split |p| into one-signed pieces or list extremum candidates,
-    and neither needs them.
+    A loop down the derivative chain, from the constant highest derivative
+    to p itself: the sign changes of p^(k+1) cut [lo, hi] into pieces on
+    which p^(k) is monotone.  A cut where p^(k) evaluates to exactly 0 is a
+    root; otherwise a piece holds at most one crossing, which one sign test
+    finds and bisection narrows to adjacent floats.  Roots at ``lo`` or
+    ``hi`` are not reported, nor are touching roots that round to nonzero
+    values: callers split |p| into one-signed pieces or list extremum
+    candidates, and neither needs them.
     """
-    if len(coeffs) <= 1:
-        return []
-    cuts = [lo, *real_roots(_derivative_coeffs(coeffs), lo, hi), hi]
-    values = [_horner(coeffs, u) for u in cuts]
-    roots = []
-    for k, (left, right) in enumerate(zip(cuts, cuts[1:])):
-        f_left, f_right = values[k], values[k + 1]
-        if k > 0 and f_left == 0.0:
-            roots.append(left)
-        elif f_left < 0.0 < f_right or f_right < 0.0 < f_left:
-            roots.append(_crossing(coeffs, left, right, f_left < 0.0))
+    chain = [tuple(coeffs)]
+    while len(chain[-1]) > 1:
+        chain.append(_derivative_coeffs(chain[-1]))
+    roots: list[float] = []
+    for p in reversed(chain[:-1]):
+        cuts = [lo, *roots, hi]
+        values = [_horner(p, u) for u in cuts]
+        roots = []
+        for k, (left, right) in enumerate(zip(cuts, cuts[1:])):
+            f_left, f_right = values[k], values[k + 1]
+            if k > 0 and f_left == 0.0:
+                roots.append(left)
+            elif f_left < 0.0 < f_right or f_right < 0.0 < f_left:
+                roots.append(_crossing(p, left, right, f_left < 0.0))
     return roots
 
 
@@ -159,30 +166,3 @@ class PiecewisePolynomial:
 
     def __call__(self, x: float) -> float:
         return self.eval(x)
-
-    # -- calculus ----------------------------------------------------------
-
-    def derivative(self) -> PiecewisePolynomial:
-        """Segment-wise derivative on the same grid."""
-        return PiecewisePolynomial(
-            self.breakpoints,
-            tuple(_derivative_coeffs(seg) for seg in self.segments),
-        )
-
-    def antiderivative(self, left_value: float = 0.0) -> PiecewisePolynomial:
-        """Antiderivative, continuous across breakpoints.
-
-        The constant of each segment is chosen so the result is C^0: the
-        first segment starts at ``left_value`` and every later segment starts
-        where its predecessor ended.
-        """
-        if not math.isfinite(left_value):
-            raise ValidationError("left_value must be finite")
-        running = float(left_value)
-        out: list[tuple[float, ...]] = []
-        for i, seg in enumerate(self.segments):
-            anti = _antiderivative_coeffs(seg, running)
-            out.append(anti)
-            width = self.breakpoints[i + 1] - self.breakpoints[i]
-            running = _horner(anti, width)
-        return PiecewisePolynomial(self.breakpoints, tuple(out))

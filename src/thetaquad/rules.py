@@ -141,14 +141,17 @@ def correction_sum(f: Integrand, spec: RuleSpec) -> list[float]:
     the second.
     """
     _require_subinterval(f, spec)
-    terms_count = (spec.n - 1) // 2
-    w = spec.width
-    mid = spec.midpoint
+    return _corrections(f.eval_derivative, spec.theta, spec.n, spec.a, spec.b)
+
+
+def _corrections(f: Callable, theta, n: int, a, b) -> list:
+    """correction_sum's terms in floats or Fractions; f(k, x) is f^(k)(x)."""
+    w, mid = b - a, (a + b) / 2
     out = []
-    for i in range(1, terms_count + 1):
+    for i in range(1, (n - 1) // 2 + 1):
         k = 2 * i + 1
-        coeff = (1.0 - spec.theta * k) * w**k / (math.factorial(k) * 2.0 ** (2 * i))
-        out.append(coeff * f.eval_derivative(2 * i, mid))
+        coeff = (1 - theta * k) * w**k / (math.factorial(k) * 4**i)
+        out.append(coeff * f(2 * i, mid))
     return out
 
 
@@ -170,19 +173,21 @@ def perturbation_term(f: Integrand, spec: RuleSpec) -> float:
     return closed_integral(spec) * _mean_rate(f, spec)
 
 
-def _rule_value(f: Integrand, spec: RuleSpec) -> tuple[float, tuple[float, ...], float]:
-    """Base value, correction terms and their compensated sum F_n."""
-    w = spec.width
-    fm = f.eval_derivative(0, spec.midpoint)
-    fa = f.eval_derivative(0, spec.a)
-    fb = f.eval_derivative(0, spec.b)
-    base = w * ((1.0 - spec.theta) * fm + spec.theta * 0.5 * (fa + fb))
-    corrections = tuple(correction_sum(f, spec))
-    return base, corrections, math.fsum((base, *corrections))
+def _rule_value(f: Callable, theta, n: int, a, b) -> list:
+    """[base, *corrections], F_n being their sum; f(k, x) is f^(k)(x).
+
+    Integer literals only, so Fractions stay exact (the sharpness check sums
+    them itself) and floats keep their bits (callers use ``math.fsum``).
+    """
+    fm = f(0, (a + b) / 2)
+    fa = f(0, a)
+    fb = f(0, b)
+    base = (b - a) * ((1 - theta) * fm + theta / 2 * (fa + fb))
+    return [base, *_corrections(f, theta, n, a, b)]
 
 
 def apply_rule(f: Integrand, spec: RuleSpec) -> QuadratureResult:
     """Evaluate the corrected rule on [spec.a, spec.b]."""
-    base, corrections, value = _rule_value(f, spec)
+    terms = _rule_value(f.eval_derivative, spec.theta, spec.n, spec.a, spec.b)
     perturbation = perturbation_term(f, spec) if spec.n % 2 == 0 else None
-    return QuadratureResult(base, corrections, value, perturbation, spec)
+    return QuadratureResult(terms[0], tuple(terms[1:]), math.fsum(terms), perturbation, spec)

@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -13,6 +16,7 @@ from thetaquad import cli as cli_mod
 from thetaquad.cli import run_cli
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -341,7 +345,16 @@ def test_sharpness_end_to_end_flag(capsys):
     )
     res = record["results"]
     assert res["ratio"] == pytest.approx(1.0, abs=1e-10)
-    assert res["end_to_end_error"] == pytest.approx(res["rhs"], rel=1e-9)
+    assert res["end_to_end_error"] == res["lhs"]
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_sharpness_end_to_end_equals_lhs_at_every_order(capsys, n):
+    record = run_json(
+        capsys, "sharpness", "--n", str(n), "--theta", "0.3", "--a", "-0.5", "--b", "1.25",
+        "--end-to-end",
+    )
+    assert record["results"]["end_to_end_error"] == record["results"]["lhs"]
 
 
 # ---------------------------------------------------------------- failures
@@ -364,8 +377,8 @@ def test_sharpness_end_to_end_flag(capsys):
          "--theta-grid", "0:0.1:2"],  # grid leaves [0, 1]
         ["sweep", "--f", "exp", "--n", "2", "--a", "0", "--b", "1",
          "--theta-grid", "0;0.1;1"],  # malformed grid syntax
-        ["sharpness", "--n", "5", "--theta", "0.5", "--a", "0", "--b", "1",
-         "--end-to-end"],  # reconstruction is capped at n = 4
+        ["sweep", "--f", "exp", "--n", "2", "--a", "0", "--b", "1",
+         "--theta-grid", "0:1e-300:1"],  # 1e300 points, refused before listing
         ["integrate", "--f", "exp", "--n", "2", "--theta", "0", "--a", "0",
          "--b", "1", "--perturbed", "--bound", "linf"],  # bound does not cover it
         ["integrate", "--f", "exp", "--n", "2", "--theta", "0.5", "--a", "0",
@@ -434,3 +447,30 @@ def test_convergence_failure_exits_3(capsys, monkeypatch):
     )
     assert code == 3
     assert "convergence" in err.lower()
+
+
+def test_long_polynomial_bound_exits_0(capsys):
+    # 1,200 coefficients: root isolation walks 1,200 derivatives
+    poly = "poly:" + ",".join(["0.001"] * 1200)
+    record = run_json(
+        capsys, "bound", "--f", poly, "--n", "1", "--theta", "0.5", "--a", "0", "--b", "1",
+        "--bound", "l1",
+    )
+    assert record["results"]["l1"] == pytest.approx(1.199, rel=1e-12)
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["kernel", "--n", "2", "--theta", "0.5", "--a", "0", "--b", "1"]
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
+    def child(args):
+        return subprocess.run(
+            [sys.executable, "-m", "thetaquad.cli", *args],
+            capture_output=True, env=env, timeout=60,
+        )
+
+    proc = child(argv)
+    assert run_cli(argv) == 0
+    assert proc.returncode == 0
+    assert proc.stdout == capsys.readouterr().out.encode("utf-8")
+    assert child(["kernel", "--n", "0", "--theta", "0.5", "--a", "0", "--b", "1"]).returncode == 2

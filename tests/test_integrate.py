@@ -1,6 +1,8 @@
 import math
+import random
 from collections import Counter
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,8 @@ from thetaquad.integrate import (
     _GL_WEIGHTS,
     COMPOSITE_CERTIFICATES,
     MAX_ORACLE_PANELS,
+    _exact_value,
+    _extremal_pieces,
 )
 
 thetas = st.floats(min_value=0.0, max_value=1.0)
@@ -323,25 +327,58 @@ def test_sharpness_ratio_is_one(theta, n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_sharpness_end_to_end_reconstruction(theta, n):
     report = sharpness_check(spec(theta, n, a=-1.0, b=2.0), end_to_end=True)
-    # the measured rule error of the reconstructed integrand equals the bound
-    assert report.end_to_end_error == pytest.approx(report.rhs, rel=1e-9)
+    # the exact rule error of the extremal integrand is sigma(K) itself
+    assert report.end_to_end_error == report.lhs
+    assert report.end_to_end_error == pytest.approx(report.rhs, rel=1e-10)
 
 
-def test_end_to_end_limited_to_low_orders():
-    with pytest.raises(ValidationError):
-        sharpness_check(spec(0.5, 5), end_to_end=True)
+@pytest.mark.parametrize("n", range(1, 31))
+def test_end_to_end_error_equals_lhs_at_every_order(n):
+    rng = random.Random(n)
+    for _ in range(3):
+        a = rng.uniform(-3.0, 3.0)
+        s = spec(rng.random(), n, a=a, b=a + rng.uniform(0.01, 4.0))
+        report = sharpness_check(s, end_to_end=True)
+        assert report.end_to_end_error == report.lhs, s
+
+
+def test_extremal_pieces_are_a_continuous_derivative_chain():
+    """Below order n each order is continuous at mid, zero at a, and the
+    derivative of the next order down; F closes the chain."""
+    for n in (1, 2, 5):
+        s = spec(0.3, n, a=-0.75, b=1.5)
+        pieces, antiderivative = _extremal_pieces(s)
+        h = Fraction(s.b - s.a) / 2
+        chain = [antiderivative, *pieces]
+        assert len(chain) == n + 2
+        for lower, upper in zip(chain, chain[1:]):
+            for low, up in zip(lower, upper):
+                assert [k * c for k, c in enumerate(low)][1:] == up
+        for left, right in chain[:-1]:
+            assert left[0] == 0
+            assert _exact_value(left, h) == right[0]
+
+
+def test_extremal_pieces_start_from_the_kernel_halves():
+    s = spec(0.3, 3, a=-0.75, b=1.5)
+    left, right = _extremal_pieces(s)[0][3]
+    h = Fraction(s.b - s.a) / 2
+    c = Fraction(s.theta) * 3 * h
+    for u in (Fraction(1, 8), Fraction(3, 4), h):
+        assert _exact_value(left, u) == u**2 * (u - c) / 6
+        v = u - h  # x - b on the right half, at x - mid = u
+        assert _exact_value(right, u) == v**2 * (v + c) / 6
 
 
 def test_extremal_integrand_realizes_the_kernel():
     """The worst-case integrand's n-th derivative must BE the kernel."""
-    from thetaquad import build_kernel
-
     s = spec(0.3, 3, a=-1.0, b=2.0)
     f = extremal_integrand(s)
-    kernel = build_kernel(s)
+    c = 0.3 * 3 * 1.5
     for i in range(21):
         x = -1.0 + 3.0 * i / 20.0
-        assert f.eval_derivative(3, x) == pytest.approx(kernel(x), abs=1e-13)
+        u, edge = (x + 1.0, c) if x < 0.5 else (x - 2.0, -c)
+        assert f.eval_derivative(3, x) == pytest.approx(u**2 * (u - edge) / 6.0, abs=1e-13)
 
 
 def test_extremal_integrand_is_a_consistent_derivative_chain():

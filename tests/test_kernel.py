@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from thetaquad import (
     RuleSpec,
     ValidationError,
-    build_kernel,
+    extremal_integrand,
     kernel_centered_max_closed,
     kernel_stats_brute,
     kernel_stats_closed,
@@ -20,6 +20,12 @@ orders = st.integers(min_value=1, max_value=40)
 
 def spec(theta, n, a=0.0, b=1.0):
     return RuleSpec(theta=theta, n=n, a=a, b=b)
+
+
+def kernel(s):
+    """K of ``s`` as a function of x: the extremal integrand's n-th derivative."""
+    f = extremal_integrand(s)
+    return lambda x: f.eval_derivative(s.n, x)
 
 
 @pytest.mark.parametrize(
@@ -44,16 +50,18 @@ def test_rule_spec_rejects_non_integer_order():
         RuleSpec(theta=0.5, n=2.5, a=0.0, b=1.0)
 
 
-def test_kernel_breakpoints_straddle_the_midpoint():
-    k = build_kernel(spec(0.5, 3, a=-1.0, b=3.0))
-    assert k.breakpoints == (-1.0, 1.0, 3.0)
+def test_kernel_halves_meet_at_the_midpoint():
+    # odd n: K jumps at mid = 1 and the right half owns the midpoint
+    k = kernel(spec(0.5, 3, a=-1.0, b=3.0))
+    assert k(1.0) == pytest.approx((-2.0) ** 2 * (-2.0 + 3.0) / 6.0, abs=1e-15)
+    assert k(1.0 - 1e-12) == pytest.approx(2.0**2 * (2.0 - 3.0) / 6.0, abs=1e-10)
 
 
 def test_kernel_pointwise_values_first_order():
     # order 1: (x - a) - theta*(b - a)/2 on the left half,
     #          (x - b) + theta*(b - a)/2 on the right half
     theta = 0.3
-    k = build_kernel(spec(theta, 1))
+    k = kernel(spec(theta, 1))
     for x in (0.0, 0.2, 0.49):
         assert k(x) == pytest.approx(x - theta / 2.0, abs=1e-15)
     for x in (0.51, 0.8, 1.0):
@@ -62,7 +70,7 @@ def test_kernel_pointwise_values_first_order():
 
 def test_kernel_pointwise_values_second_order():
     theta = 0.4
-    k = build_kernel(spec(theta, 2))
+    k = kernel(spec(theta, 2))
     for x in (0.1, 0.3):
         assert k(x) == pytest.approx((x - theta) * x / 2.0, abs=1e-15)
     for x in (0.6, 0.9):
@@ -71,7 +79,7 @@ def test_kernel_pointwise_values_second_order():
 
 def test_kernel_vanishes_at_endpoints_for_higher_orders():
     for n in range(2, 7):
-        k = build_kernel(spec(0.7, n))
+        k = kernel(spec(0.7, n))
         assert k(0.0) == pytest.approx(0.0, abs=1e-15)
         assert k(1.0) == pytest.approx(0.0, abs=1e-15)
 
@@ -189,9 +197,9 @@ def test_l2_sq_bounded_by_sup_times_abs_integral(theta, n):
 def test_midpoint_and_trapezoid_kernel_shapes_first_order():
     # theta = 0: kernel is x - a left of the midpoint and x - b right of it;
     # theta = 1: kernel is x - mid on both halves
-    mid = build_kernel(spec(0.0, 1))
+    mid = kernel(spec(0.0, 1))
     assert mid(0.25) == pytest.approx(0.25, abs=1e-15)
     assert mid(0.75) == pytest.approx(-0.25, abs=1e-15)
-    trap = build_kernel(spec(1.0, 1))
+    trap = kernel(spec(1.0, 1))
     assert trap(0.25) == pytest.approx(-0.25, abs=1e-15)
     assert trap(0.75) == pytest.approx(0.25, abs=1e-15)

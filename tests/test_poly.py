@@ -62,52 +62,6 @@ def test_horner_matches_naive_powers(coeffs, x):
     assert p(x) == pytest.approx(naive, rel=1e-12, abs=1e-12)
 
 
-@given(coeff_lists)
-def test_derivative_of_antiderivative_round_trips(coeffs):
-    p = single(coeffs)
-    q = p.antiderivative().derivative()
-    for x in (0.0, 0.25, 0.5, 0.9, 1.0):
-        assert q(x) == pytest.approx(p(x), rel=1e-12, abs=1e-12)
-
-
-@given(coeff_lists, coeff_lists, st.floats(min_value=-3.0, max_value=3.0))
-def test_antiderivative_is_continuous_across_breakpoints(c1, c2, left_value):
-    p = PiecewisePolynomial((0.0, 0.5, 1.0), (tuple(c1), tuple(c2)))
-    big = p.antiderivative(left_value=left_value)
-    assert big(0.0) == pytest.approx(left_value, abs=1e-12)
-    below = big(0.5 - 1e-9)
-    above = big(0.5 + 1e-9)
-    assert below == pytest.approx(above, rel=1e-6, abs=1e-7)
-
-
-@given(coeff_lists, st.floats(min_value=0.1, max_value=0.9))
-def test_antiderivative_difference_is_the_integral(coeffs, split):
-    p = single(coeffs)
-    big = p.antiderivative()
-    exact = math.fsum(c * split ** (k + 1) / (k + 1) for k, c in enumerate(coeffs))
-    assert big(split) - big(0.0) == pytest.approx(exact, rel=1e-12, abs=1e-12)
-
-
-def test_antiderivative_integrates_across_breakpoints():
-    p = PiecewisePolynomial((0.0, 1.0, 2.0), ((0.0, 2.0), (1.0,)))
-    # ∫0..1 2x dx + ∫1..1.5 1 dx
-    assert p.antiderivative()(1.5) == pytest.approx(1.5, abs=1e-14)
-
-
-def test_derivative_drops_degree_and_matches_calculus():
-    p = single([1.0, -2.0, 3.0, 4.0])  # 1 - 2u + 3u^2 + 4u^3
-    d = p.derivative()
-    for x in (0.0, 0.3, 0.7, 1.0):
-        assert d(x) == pytest.approx(-2.0 + 6.0 * x + 12.0 * x**2, rel=1e-13)
-
-
-def test_constant_polynomial_derivative_is_zero():
-    p = single([4.0])
-    d = p.derivative()
-    assert d(0.5) == 0.0
-    assert d.segments == ((0.0,),)
-
-
 # ---------------------------------------------------------------- real_roots
 
 
@@ -159,3 +113,9 @@ def test_real_roots_brackets_every_sampled_sign_change(zeros):
     for x0, x1, v0, v1 in zip(xs, xs[1:], values, values[1:]):
         if (v0 < 0.0 < v1 or v1 < 0.0 < v0) and min(abs(v0), abs(v1)) > 1e-9:
             assert any(x0 <= r <= x1 for r in found)
+
+
+def test_real_roots_walks_a_long_derivative_chain_without_recursion():
+    # degree 1499: one loop step per derivative, far past the recursion limit
+    assert real_roots((0.001,) * 1500, 0.0, 1.0) == []
+    assert len(real_roots((-1.0,) + (0.001,) * 1499, 0.0, 1.0)) == 1  # p increases on [0, 1]

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from thetaquad import (
     perturbation_term,
     preset,
 )
+from thetaquad.rules import _rule_value
 
 thetas = st.floats(min_value=0.0, max_value=1.0)
 
@@ -210,3 +212,63 @@ def test_odd_orders_never_carry_a_perturbation(theta, n):
         assert res.perturbation_term is None
     else:
         assert res.perturbation_term is not None
+
+
+# ---------------------------------------------------------------- Peano identity
+
+
+def _poly_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, pi in enumerate(p):
+        for j, qj in enumerate(q):
+            out[i + j] += pi * qj
+    return out
+
+
+def _poly_derivative(p, order):
+    for _ in range(order):
+        p = [k * c for k, c in enumerate(p)][1:] or [Fraction(0)]
+    return p
+
+
+def _poly_value(p, x):
+    return sum(c * x**k for k, c in enumerate(p))
+
+
+def _poly_integral(p, lo, hi):
+    return sum(c * (hi ** (k + 1) - lo ** (k + 1)) / (k + 1) for k, c in enumerate(p))
+
+
+def _kernel_half(n, edge, root):
+    """n! K on one half, (x - edge)^(n-1) (x - root), in powers of x."""
+    half = [Fraction(1)]
+    for r in [edge] * (n - 1) + [root]:
+        half = _poly_mul(half, [-r, Fraction(1)])
+    return [c / math.factorial(n) for c in half]
+
+
+dyadic = st.integers(min_value=-64, max_value=64).map(lambda k: Fraction(k, 16))
+
+
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.data(),
+    dyadic,
+    st.integers(min_value=1, max_value=64).map(lambda k: Fraction(k, 16)),
+    st.integers(min_value=0, max_value=32).map(lambda k: Fraction(k, 32)),
+)
+@settings(max_examples=60, deadline=None)
+def test_peano_identity_holds_exactly_in_fractions(n, data, a, width, theta):
+    """int p - F_n = (-1)^n int K p^(n), with _rule_value run in Fractions."""
+    degree = data.draw(st.integers(min_value=0, max_value=n + 3))
+    p = data.draw(st.lists(dyadic, min_size=degree + 1, max_size=degree + 1))
+    b = a + width
+    mid, c = (a + b) / 2, theta * n * width / 2
+    value = sum(_rule_value(lambda k, x: _poly_value(_poly_derivative(p, k), x), theta, n, a, b))
+    p_n = _poly_derivative(p, n)
+    kernel_integral = _poly_integral(_poly_mul(_kernel_half(n, a, a + c), p_n), a, mid)
+    kernel_integral += _poly_integral(_poly_mul(_kernel_half(n, b, b - c), p_n), mid, b)
+    error = _poly_integral(p, a, b) - value
+    assert error == (-1) ** n * kernel_integral
+    if degree < n:
+        assert error == 0
