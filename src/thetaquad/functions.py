@@ -21,11 +21,11 @@ relevant derivative have enumerable closed-form locations:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .bounds import DerivativeBand, NormData
 from .errors import ValidationError, check_int, check_interval
-from .poly import _derivative_coeffs, _horner, _integral_on, _square_coeffs, real_roots
+from .poly import _chain_roots, _derivative_chain, _horner, _integral_on, _square_coeffs
 from .rules import Integrand
 
 __all__ = [
@@ -43,7 +43,8 @@ class AnalyticFunction:
     """Shared assembly of exact norm data from per-function primitives.
 
     Subclasses provide ``derivative``, the interior stationary points and
-    zeros of a given derivative order, and the closed-form squared l2 norm;
+    zeros of a given derivative order (one call, so that both can come from
+    one computation), and the closed-form squared l2 norm;
     everything else (band via candidate evaluation, l1 via splitting at
     zeros and differencing the antiderivative, sigma via the mean rate)
     is generic.
@@ -54,12 +55,8 @@ class AnalyticFunction:
     def derivative(self, order: int, x: float) -> float:
         raise NotImplementedError
 
-    def _stationary_points(self, order: int, a: float, b: float) -> list[float]:
-        """Interior stationary points of f^(order) on (a, b)."""
-        raise NotImplementedError
-
-    def _zeros(self, order: int, a: float, b: float) -> list[float]:
-        """Interior zeros of f^(order) on (a, b)."""
+    def _critical_points(self, order: int, a: float, b: float) -> tuple[list, list]:
+        """Interior stationary points and interior zeros of f^(order) on (a, b)."""
         raise NotImplementedError
 
     def _l2_sq(self, order: int, a: float, b: float) -> float:
@@ -74,7 +71,10 @@ class AnalyticFunction:
     def band(self, order: int, a: float, b: float) -> DerivativeBand:
         check_int("derivative order", order, 1)
         a, b = check_interval(a, b)
-        values = [self.derivative(order, x) for x in (a, b, *self._stationary_points(order, a, b))]
+        return self._band(order, a, b, self._critical_points(order, a, b)[0])
+
+    def _band(self, order: int, a: float, b: float, stationary: list) -> DerivativeBand:
+        values = [self.derivative(order, x) for x in (a, b, *stationary)]
         return DerivativeBand(gamma=min(values), Gamma=max(values), order=order)
 
     def endpoint_diff_rate(self, order: int, a: float, b: float) -> float:
@@ -85,10 +85,11 @@ class AnalyticFunction:
     def norm_data(self, order: int, a: float, b: float) -> NormData:
         check_int("derivative order", order, 1)
         a, b = check_interval(a, b)
-        band = self.band(order, a, b)
+        stationary, zeros = self._critical_points(order, a, b)
+        band = self._band(order, a, b, stationary)
         linf = max(abs(band.gamma), abs(band.Gamma))
 
-        cuts = sorted({a, b, *self._zeros(order, a, b)})
+        cuts = sorted({a, b, *zeros})
         l1 = math.fsum(
             abs(self.derivative(order - 1, right) - self.derivative(order - 1, left))
             for left, right in zip(cuts, cuts[1:])
@@ -113,11 +114,8 @@ class Exponential(AnalyticFunction):
     def derivative(self, order: int, x: float) -> float:
         return math.exp(x)
 
-    def _stationary_points(self, order: int, a: float, b: float) -> list[float]:
-        return []
-
-    def _zeros(self, order: int, a: float, b: float) -> list[float]:
-        return []
+    def _critical_points(self, order: int, a: float, b: float) -> tuple[list, list]:
+        return [], []
 
     def _l2_sq(self, order: int, a: float, b: float) -> float:
         return 0.5 * (math.exp(2.0 * b) - math.exp(2.0 * a))
@@ -152,11 +150,9 @@ class Sine(AnalyticFunction):
                 points.append(x)
         return points
 
-    def _stationary_points(self, order: int, a: float, b: float) -> list[float]:
-        return self._phase_grid((order + 1) * math.pi / 2.0, a, b)
-
-    def _zeros(self, order: int, a: float, b: float) -> list[float]:
-        return self._phase_grid(order * math.pi / 2.0, a, b)
+    def _critical_points(self, order: int, a: float, b: float) -> tuple[list, list]:
+        stationary = self._phase_grid((order + 1) * math.pi / 2.0, a, b)
+        return stationary, self._phase_grid(order * math.pi / 2.0, a, b)
 
     def _l2_sq(self, order: int, a: float, b: float) -> float:
         # int sin^2(w x + phi) = (b-a)/2 - [sin(2 w x + 2 phi)]_a^b / (4 w)
@@ -198,11 +194,8 @@ class Runge(AnalyticFunction):
                 points.append(x)
         return points
 
-    def _stationary_points(self, order: int, a: float, b: float) -> list[float]:
-        return self._cot_grid(order + 2, a, b)
-
-    def _zeros(self, order: int, a: float, b: float) -> list[float]:
-        return self._cot_grid(order + 1, a, b)
+    def _critical_points(self, order: int, a: float, b: float) -> tuple[list, list]:
+        return self._cot_grid(order + 2, a, b), self._cot_grid(order + 1, a, b)
 
     def _l2_sq(self, order: int, a: float, b: float) -> float:
         # int (f^(k))^2 dx = (k!)^2 int_{t(b)}^{t(a)} sin^(2k)(t) sin^2((k+1)t) dt,
@@ -236,11 +229,13 @@ class Runge(AnalyticFunction):
 class PolynomialFunction(AnalyticFunction):
     """A global polynomial sum(c_j x^j) given by ascending coefficients.
 
-    Zeros and stationary points of each derivative come from
-    ``poly.real_roots``; band and norms from the shared assembly.
+    The derivative chain is built once.  Zeros and stationary points of
+    each derivative come from one walk down it (``poly.real_roots``); band
+    and norms from the shared assembly.
     """
 
     coefficients: tuple[float, ...]
+    _chain: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         coeffs = tuple(float(c) for c in self.coefficients)
@@ -249,25 +244,20 @@ class PolynomialFunction(AnalyticFunction):
             raise ValidationError("polynomial needs at least one coefficient")
         if any(not math.isfinite(c) for c in coeffs):
             raise ValidationError("polynomial coefficients must be finite")
+        object.__setattr__(self, "_chain", _derivative_chain(coeffs))
 
     @property
     def name(self) -> str:  # type: ignore[override]
         return "poly:" + ",".join(repr(c) for c in self.coefficients)
 
     def _coeffs_of_order(self, order: int) -> tuple[float, ...]:
-        coeffs = self.coefficients
-        for _ in range(order):
-            coeffs = _derivative_coeffs(coeffs)
-        return coeffs
+        return self._chain[order] if order < len(self._chain) else (0.0,)
 
     def derivative(self, order: int, x: float) -> float:
         return _horner(self._coeffs_of_order(order), x)
 
-    def _stationary_points(self, order: int, a: float, b: float) -> list[float]:
-        return real_roots(self._coeffs_of_order(order + 1), a, b)
-
-    def _zeros(self, order: int, a: float, b: float) -> list[float]:
-        return real_roots(self._coeffs_of_order(order), a, b)
+    def _critical_points(self, order: int, a: float, b: float) -> tuple[list, list]:
+        return _chain_roots(self._chain[order:], a, b)
 
     def _l2_sq(self, order: int, a: float, b: float) -> float:
         # Taylor-shift to the left endpoint, so the integral runs over [0, b - a]

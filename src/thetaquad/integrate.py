@@ -63,13 +63,11 @@ _GL_WEIGHTS = tuple(reversed(_GL_HALF_WEIGHTS[1:])) + _GL_HALF_WEIGHTS
 COMPOSITE_CERTIFICATES = tuple(bounds.CERTIFICATES)
 
 
-def _gl_panel(f: Integrand, lo: float, hi: float) -> float:
+def _gl_panel(f, lo: float, hi: float) -> float:
+    """The 15-node rule on [lo, hi]; f(k, x) is f^(k)(x)."""
     half = 0.5 * (hi - lo)
     center = 0.5 * (hi + lo)
-    return half * math.fsum(
-        w * f.eval_derivative(0, center + half * x)
-        for x, w in zip(_GL_NODES, _GL_WEIGHTS)
-    )
+    return half * math.fsum(w * f(0, center + half * x) for x, w in zip(_GL_NODES, _GL_WEIGHTS))
 
 
 def _panel_edges(a: float, b: float, panels: int) -> list[float]:
@@ -105,11 +103,12 @@ def reference_integral(
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValidationError(f"tol must be positive, got {tol!r}")
 
-    previous = _gl_panel(f, a, b)
+    ev = f._on(*f.domain)  # only the nodes themselves must lie in the domain
+    previous = _gl_panel(ev, a, b)
     panels = 2
     while panels <= MAX_ORACLE_PANELS:
         edges = _panel_edges(a, b, panels)
-        value = math.fsum(_gl_panel(f, lo, hi) for lo, hi in zip(edges, edges[1:]))
+        value = math.fsum(_gl_panel(ev, lo, hi) for lo, hi in zip(edges, edges[1:]))
         if abs(value - previous) < tol * (1.0 + abs(value)):
             return value
         previous = value
@@ -156,29 +155,43 @@ def _rule_panels(
     whether the value includes the perturbation.
 
     ``perturbed`` folds each panel's perturbation term (int K times the mean
-    rate of f^(n)) into the value.  With a ``certificate`` name each panel is
-    certified first, and the value includes the perturbation exactly when
-    that certificate covers it.  The rate is evaluated at most once per
-    panel, and only when the certificate or the value reads it.  Panel
-    values are reduced in ascending order with compensated summation.
+    rate of f^(n)) into the value.  With a ``certificate`` name each panel
+    gets a budget, and the value includes the perturbation exactly when that
+    certificate covers it.  The certificate and int K are closed forms in
+    (theta, n, width), so each is built once per distinct panel width; the
+    even-n "band" certificate also reads the panel's own rate and is built
+    per panel.  The rate is evaluated at most once per panel, and only when
+    the certificate or the value reads it.  Panel values are reduced in
+    ascending order with compensated summation.
     """
     check_int("panels", panels, 1)
     even = spec.n % 2 == 0
     if perturbed and not even:
         raise ValidationError(f"the perturbed rule needs even n, got n={spec.n}")
+    per_panel = even and certificate == "band"
+    ev = f._on(spec.a, spec.b)
     edges = _panel_edges(spec.a, spec.b, panels)
+    by_width: dict[float, tuple] = {}
     values: list[float] = []
     budgets: list[float] = []
     for lo, hi in zip(edges, edges[1:]):
-        pspec = RuleSpec(spec.theta, spec.n, lo, hi)
-        rate = _mean_rate(f, pspec) if even and certificate == "band" else None
-        if certificate is not None:
-            cert = bounds.certify(pspec, certificate, norms, band, rate)
+        entry = by_width.get(hi - lo)
+        if entry is None:
+            pspec = RuleSpec(spec.theta, spec.n, lo, hi)
+            rate = _mean_rate(ev, spec.n, lo, hi) if per_panel else None
+            cert = None if certificate is None else bounds.certify(
+                pspec, certificate, norms, band, rate
+            )
+            entry = (cert, closed_integral(pspec), rate)
+            if not per_panel:
+                by_width[hi - lo] = entry
+        cert, int_k, rate = entry
+        if cert is not None:
             budgets.append(cert.bound)
             perturbed = cert.covers_perturbed_rule
-        value = math.fsum(_rule_value(f.eval_derivative, pspec.theta, pspec.n, pspec.a, pspec.b))
+        value = math.fsum(_rule_value(ev, spec.theta, spec.n, lo, hi))
         if perturbed:
-            value += closed_integral(pspec) * (_mean_rate(f, pspec) if rate is None else rate)
+            value += int_k * (_mean_rate(ev, spec.n, lo, hi) if rate is None else rate)
         values.append(value)
     return math.fsum(values), budgets, perturbed
 
@@ -228,12 +241,13 @@ def composite_integrate(
     """Apply the rule on a uniform partition and budget each panel.
 
     ``certificate`` is a name in bounds.CERTIFICATES; each panel's budget
-    comes from bounds.certify.  Norm inputs are global for [a, b] and reused
-    on every panel; that is conservative because every norm a certificate
-    consumes can only shrink on a subinterval (sigma included: the
-    panel-centred variance is at most the interval variance).  The endpoint
-    rates that one-sided even-n certificates need are computed exactly per
-    panel from f's derivative closures.
+    comes from bounds.certify, called once per distinct panel width.  Norm
+    inputs are global for [a, b] and reused on every panel; that is
+    conservative because every norm a certificate consumes can only shrink
+    on a subinterval (sigma included: the panel-centred variance is at most
+    the interval variance).  The endpoint rates that the even-n "band"
+    certificate needs are computed exactly per panel from f's derivative
+    closures, so it is certified once per panel.
     """
     if certificate is None:  # the panel loop reads None as "no certificate"
         raise ValidationError("composite_integrate needs a certificate kind")

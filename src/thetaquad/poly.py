@@ -79,6 +79,14 @@ def _crossing(coeffs: tuple[float, ...], left: float, right: float, left_negativ
             right = mid
 
 
+def _derivative_chain(coeffs) -> tuple[tuple[float, ...], ...]:
+    """p, p', p'', ... down to the first constant derivative."""
+    chain = [tuple(coeffs)]
+    while len(chain[-1]) > 1:
+        chain.append(_derivative_coeffs(chain[-1]))
+    return tuple(chain)
+
+
 def real_roots(coeffs: tuple[float, ...], lo: float, hi: float) -> list[float]:
     """Roots of ``sum(c_k * u**k)`` inside (lo, hi), ascending.
 
@@ -91,12 +99,15 @@ def real_roots(coeffs: tuple[float, ...], lo: float, hi: float) -> list[float]:
     values: callers split |p| into one-signed pieces or list extremum
     candidates, and neither needs them.
     """
-    chain = [tuple(coeffs)]
-    while len(chain[-1]) > 1:
-        chain.append(_derivative_coeffs(chain[-1]))
+    return _chain_roots(_derivative_chain(coeffs), lo, hi)[1]
+
+
+def _chain_roots(chain, lo: float, hi: float) -> tuple[list[float], list[float]]:
+    """(roots of p', roots of p) for the chain of p: the last two steps of the walk."""
+    stationary: list[float] = []
     roots: list[float] = []
     for p in reversed(chain[:-1]):
-        cuts = [lo, *roots, hi]
+        stationary, cuts = roots, [lo, *roots, hi]
         values = [_horner(p, u) for u in cuts]
         roots = []
         for k, (left, right) in enumerate(zip(cuts, cuts[1:])):
@@ -105,7 +116,7 @@ def real_roots(coeffs: tuple[float, ...], lo: float, hi: float) -> list[float]:
                 roots.append(left)
             elif f_left < 0.0 < f_right or f_right < 0.0 < f_left:
                 roots.append(_crossing(p, left, right, f_left < 0.0))
-    return roots
+    return stationary, roots
 
 
 @dataclass(frozen=True)

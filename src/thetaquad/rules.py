@@ -61,6 +61,10 @@ class Integrand:
     is the closed interval on which evaluations are legal, with a tiny
     floating slack at the endpoints.  A NaN or infinite derivative value is
     rejected, so no budget is ever stated for a non-finite rule value.
+
+    ``eval_derivative`` checks all of this on every call.  The rules and the
+    oracle read f through ``_on(a, b)``, which checks [a, b] once, then per
+    call the order, x and finiteness, and hands any failure to it.
     """
 
     derivative_fn: Callable[[int, float], float]
@@ -105,6 +109,24 @@ class Integrand:
             raise ValidationError(f"derivative of order {order} at x={x!r} is {value!r}")
         return value
 
+    def _on(self, a: float, b: float) -> Callable[[int, float], float]:
+        """eval_derivative for points of [a, b], with the checks hoisted."""
+        for x in (a, b):
+            if not self._padded[0] <= x <= self._padded[1]:
+                self.eval_derivative(0, x)  # raises the DomainError
+        fn, checked, isfinite = self.derivative_fn, self.eval_derivative, math.isfinite
+        lo, hi = self.domain
+        top = math.inf if self.max_order is None else self.max_order
+
+        def ev(order: int, x: float) -> float:
+            if order <= top and lo <= x <= hi:
+                value = fn(order, x)
+                if isfinite(value):
+                    return value
+            return checked(order, x)
+
+        return ev
+
 
 @dataclass(frozen=True)
 class QuadratureResult:
@@ -123,15 +145,6 @@ class QuadratureResult:
     spec: RuleSpec = field(repr=False)
 
 
-def _require_subinterval(f: Integrand, spec: RuleSpec) -> None:
-    lo, hi = f.domain
-    if spec.a < f._padded[0] or spec.b > f._padded[1]:
-        raise DomainError(
-            f"rule interval [{spec.a!r}, {spec.b!r}] not contained in "
-            f"integrand domain [{lo!r}, {hi!r}]"
-        )
-
-
 def correction_sum(f: Integrand, spec: RuleSpec) -> list[float]:
     """Midpoint-derivative correction terms, one per i = 1 .. floor((n-1)/2).
 
@@ -140,8 +153,7 @@ def correction_sum(f: Integrand, spec: RuleSpec) -> list[float]:
     so theta = 1/3 zeroes the first correction (Simpson) and theta = 1/5
     the second.
     """
-    _require_subinterval(f, spec)
-    return _corrections(f.eval_derivative, spec.theta, spec.n, spec.a, spec.b)
+    return _corrections(f._on(spec.a, spec.b), spec.theta, spec.n, spec.a, spec.b)
 
 
 def _corrections(f: Callable, theta, n: int, a, b) -> list:
@@ -155,10 +167,9 @@ def _corrections(f: Callable, theta, n: int, a, b) -> list:
     return out
 
 
-def _mean_rate(f: Integrand, spec: RuleSpec) -> float:
+def _mean_rate(f: Callable, n: int, a: float, b: float) -> float:
     """(f^(n-1)(b) - f^(n-1)(a)) / (b - a), the mean of f^(n) on [a, b]."""
-    order = spec.n - 1
-    return (f.eval_derivative(order, spec.b) - f.eval_derivative(order, spec.a)) / spec.width
+    return (f(n - 1, b) - f(n - 1, a)) / (b - a)
 
 
 def perturbation_term(f: Integrand, spec: RuleSpec) -> float:
@@ -170,7 +181,7 @@ def perturbation_term(f: Integrand, spec: RuleSpec) -> float:
     """
     if spec.n % 2 != 0:
         raise ValidationError("the perturbation term is defined for even n only")
-    return closed_integral(spec) * _mean_rate(f, spec)
+    return closed_integral(spec) * _mean_rate(f._on(spec.a, spec.b), spec.n, spec.a, spec.b)
 
 
 def _rule_value(f: Callable, theta, n: int, a, b) -> list:
@@ -188,6 +199,6 @@ def _rule_value(f: Callable, theta, n: int, a, b) -> list:
 
 def apply_rule(f: Integrand, spec: RuleSpec) -> QuadratureResult:
     """Evaluate the corrected rule on [spec.a, spec.b]."""
-    terms = _rule_value(f.eval_derivative, spec.theta, spec.n, spec.a, spec.b)
+    terms = _rule_value(f._on(spec.a, spec.b), spec.theta, spec.n, spec.a, spec.b)
     perturbation = perturbation_term(f, spec) if spec.n % 2 == 0 else None
     return QuadratureResult(terms[0], tuple(terms[1:]), math.fsum(terms), perturbation, spec)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,8 @@ from thetaquad import (
     ValidationError,
     parse_function,
 )
+from thetaquad import functions
+from thetaquad.poly import _derivative_coeffs, real_roots
 
 INTERVALS = [(0.0, 1.0), (-1.0, 2.0)]
 
@@ -106,6 +109,40 @@ def test_polynomial_derivatives_vanish_beyond_the_degree():
     f = PolynomialFunction((1.0, 2.0, 3.0))
     assert f.derivative(3, 0.7) == 0.0
     assert f.derivative(9, -2.0) == 0.0
+
+
+def _random_or_root_built(rng):
+    if rng.random() < 0.5:
+        return tuple(rng.uniform(-1.0, 1.0) for _ in range(rng.randint(1, 9)))
+    roots = [rng.choice((rng.uniform(-2.0, 2.0), rng.randint(-20, 20) / 10)) for _ in range(6)]
+    coeffs = [1.0]
+    for r in roots[: rng.randint(1, 6)] + roots[:1]:  # the first root is a double root
+        coeffs = [lo - r * hi for lo, hi in zip([0.0, *coeffs], [*coeffs, 0.0])]
+    return tuple(coeffs)
+
+
+def test_polynomial_roots_of_two_orders_come_from_one_walk(monkeypatch):
+    """The derivative chain is built once, and norm_data's stationary points
+    and zeros are those real_roots finds, from one walk down the chain."""
+    walks = []
+    walk = functions._chain_roots
+    monkeypatch.setattr(functions, "_chain_roots", lambda *args: walks.append(1) or walk(*args))
+    rng = random.Random(2011)
+    for _ in range(3000):
+        coeffs = _random_or_root_built(rng)
+        a = rng.uniform(-2.5, 0.5)
+        b = a + rng.uniform(0.1, 4.0)
+        f = PolynomialFunction(coeffs)
+        chain = [coeffs]
+        for _ in range(len(coeffs) + 3):
+            chain.append(_derivative_coeffs(chain[-1]))
+        order = rng.randint(1, 3)
+        assert [f._coeffs_of_order(k) for k in range(len(chain))] == chain
+        expected = (real_roots(chain[order + 1], a, b), real_roots(chain[order], a, b))
+        assert f._critical_points(order, a, b) == expected
+        walks.clear()
+        f.norm_data(order, a, b)
+        assert len(walks) == 1
 
 
 # ---------------------------------------------------------------- metadata

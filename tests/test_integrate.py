@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from thetaquad import (
     CapabilityError,
     ConvergenceError,
+    DomainError,
     Exponential,
     Integrand,
     NormData,
@@ -27,6 +28,7 @@ from thetaquad import (
     sharpness_check,
     true_error,
 )
+from thetaquad import bounds
 from thetaquad.integrate import (
     _GL_NODES,
     _GL_WEIGHTS,
@@ -252,6 +254,52 @@ def test_composite_evaluates_the_rate_only_where_it_is_read(n, certificate, rate
     assert calls[n - 1] == rate_calls
 
 
+@pytest.mark.parametrize(
+    "fn, a, b, panels",
+    [(PolynomialFunction((0.3, -1.0, 0.5, 2.0, -0.7, 0.1, 0.4)), 0.1, 0.7, 7),
+     (Sine(1.0), 1000.0, 1001.0, 13), (Runge(), -5.0, 5.0, 999)],
+)
+def test_one_certificate_per_width_equals_the_per_panel_definition(monkeypatch, fn, a, b, panels):
+    """Panel widths differ by ulps.  Each width is certified once (even-n band:
+    once per panel), and every output bit equals the definition: each panel
+    certified on its own, its value the fsum of apply_rule's terms plus the
+    perturbation where the certificate covers it."""
+    calls = Counter()
+    original = bounds.certify
+
+    def counted(*args):
+        calls["certify"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(bounds, "certify", counted)
+    f = fn.integrand(a, b)
+    h = (b - a) / panels
+    edges = [a + i * h for i in range(panels)] + [b]
+    widths = len({hi - lo for lo, hi in zip(edges, edges[1:])})
+    assert widths > 1
+    for n in range(1, 7):
+        norms, band = fn.norm_data(n, a, b), fn.band(n, a, b)
+        for theta in (0.0, 1.0 / 3.0, 0.5, 1.0, 0.37):
+            pspecs = [RuleSpec(theta, n, lo, hi) for lo, hi in zip(edges, edges[1:])]
+            rules = [apply_rule(f, p) for p in pspecs]
+            rates = [fn.endpoint_diff_rate(n, p.a, p.b) for p in pspecs]
+            for kind in COMPOSITE_CERTIFICATES:
+                certs = [original(p, kind, norms, band, r) for p, r in zip(pspecs, rates)]
+                covers = certs[0].covers_perturbed_rule
+                values = [math.fsum([r.base_value, *r.correction_terms]) for r in rules]
+                if covers:
+                    values = [v + r.perturbation_term for v, r in zip(values, rules)]
+                calls.clear()
+                res = composite_integrate(f, spec(theta, n, a, b), panels, kind,
+                                          norms=norms, band=band)
+                case = (kind, n, theta)
+                assert calls["certify"] == (panels if kind == "band" and n % 2 == 0 else widths)
+                assert res.value == math.fsum(values), case
+                assert res.per_panel_bound == tuple(c.bound for c in certs), case
+                assert res.total_bound == math.fsum(c.bound for c in certs), case
+                assert res.covers_perturbed_rule is covers, case
+
+
 def test_nan_derivative_is_rejected_not_certified():
     """A NaN rule value must not come with a finite budget."""
 
@@ -266,6 +314,36 @@ def test_nan_derivative_is_rejected_not_certified():
     inf = Integrand(derivative_fn=lambda order, x: math.inf, domain=(0.0, 1.0))
     with pytest.raises(ValidationError):
         inf.eval_derivative(1, 0.25)
+
+
+def test_failed_evaluations_raise_the_eval_derivative_errors():
+    """The panel loop and the oracle skip the per-call checks only while they
+    pass; a failure raises what eval_derivative raises for that point."""
+
+    def nan_at_the_end(order, x):
+        return math.nan if x > 0.95 else math.exp(x)
+
+    f = Integrand(derivative_fn=nan_at_the_end, domain=(0.0, 1.0))
+    norms = NormData(linf=math.e)
+    with pytest.raises(ValidationError, match=r"^derivative of order 0 at x=1\.0 is nan$"):
+        composite_integrate(f, spec(0.5, 4), 10, "linf", norms=norms)
+
+    capped = Integrand(derivative_fn=lambda k, x: math.exp(x), domain=(0.0, 1.0), max_order=2)
+    message = r"^integrand supplies derivatives up to order 2, order 4 requested$"
+    with pytest.raises(CapabilityError, match=message):
+        composite_integrate(capped, spec(0.5, 5), 10, "linf", norms=norms)
+
+    def nan_near_three_quarters(order, x):  # first hit by the level-2 panels
+        return math.nan if 0.74 < x < 0.76 else math.exp(x)
+
+    g = Integrand(derivative_fn=nan_near_three_quarters, domain=(0.0, 1.0))
+    with pytest.raises(ValidationError, match=r"^derivative of order 0 at x=0\.75 is nan$"):
+        reference_integral(g, 0.0, 1.0)
+
+    outside = r"^x=1\.5 outside integrand domain \[0\.0, 1\.0\]$"
+    with pytest.raises(DomainError, match=outside):
+        composite_integrate(Exponential().integrand(0.0, 1.0), spec(0.5, 2, 0.0, 1.5), 3,
+                            "linf", norms=norms)
 
 
 def test_sup_certificate_keeps_the_plain_value_for_even_orders():

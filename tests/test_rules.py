@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -60,6 +61,17 @@ def test_integrand_validates_order_and_domain():
         f.eval_derivative(-1, 0.5)
     with pytest.raises(DomainError):
         f.eval_derivative(0, 2.0)
+
+
+@pytest.mark.parametrize("a, b, x", [(-0.5, 1.0, -0.5), (0.0, 1.5, 1.5)])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rule_on_an_interval_outside_the_domain_is_rejected(a, b, x, n):
+    f = Integrand(derivative_fn=lambda k, x: math.exp(x), domain=(0.0, 1.0))
+    outside = rf"^x={re.escape(repr(x))} outside integrand domain \[0\.0, 1\.0\]$"
+    with pytest.raises(DomainError, match=outside):
+        apply_rule(f, spec(0.5, n, a, b))
+    with pytest.raises(DomainError, match=outside):  # also where no term reads f
+        correction_sum(f, spec(0.5, n, a, b))
 
 
 def test_integrand_order_cap_is_enforced():
