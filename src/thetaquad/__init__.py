@@ -18,13 +18,6 @@ from .bounds import (
     DerivativeBand,
     ErrorCertificate,
     NormData,
-    bound_band_odd,
-    bound_l1,
-    bound_l2,
-    bound_linf,
-    bound_one_sided_odd,
-    bound_perturbed_even,
-    bound_sharp,
     certify,
 )
 from .errors import (
@@ -95,13 +88,6 @@ __all__ = [
     "DerivativeBand",
     "CertificateKind",
     "ErrorCertificate",
-    "bound_l1",
-    "bound_l2",
-    "bound_linf",
-    "bound_band_odd",
-    "bound_one_sided_odd",
-    "bound_perturbed_even",
-    "bound_sharp",
     "CERTIFICATES",
     "certify",
     "sigma_functional",

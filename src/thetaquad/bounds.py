@@ -5,26 +5,28 @@ datum about f^(n) that the caller supplies; certificates never measure the
 integrand themselves.  The provenance of the supplied data flows into the
 certificate's rigor flag, so sampled guesses cannot masquerade as proof.
 
-Certificate kinds and what they certify:
+``certify`` is the one constructor.  Certificate names (CERTIFICATES) and
+the theorems they state:
 
-==================  =============================================  =========
-kind                inequality certified                           parity
-==================  =============================================  =========
-L1                  |I - F_n| <= max|K| * ||f^(n)||_1              any n
-L2                  |I - F_n| <= ||K||_2 * ||f^(n)||_2             any n
-Linf                |I - F_n| <= int|K| * ||f^(n)||_inf            any n
-BandOdd             |I - F_n| from gamma <= f^(n) <= Gamma         odd n
-OneSidedOdd         |I - F_n| from a single band edge + the
-                    endpoint difference rate of f^(n-1)            odd n
-PerturbedEven       |I - F_n - perturbation| likewise              even n
-SharpOdd/SharpEven  best-constant bound via sigma(f^(n))           by parity
-==================  =============================================  =========
+=====  ==================  ========================================  =========
+name   theorem             inequality certified                      parity
+=====  ==================  ========================================  =========
+l1     L1                  |I - F_n| <= max|K| * ||f^(n)||_1         any n
+l2     L2                  |I - F_n| <= ||K||_2 * ||f^(n)||_2        any n
+linf   Linf                |I - F_n| <= int|K| * ||f^(n)||_inf       any n
+band   BandOdd             |I - F_n| from gamma <= f^(n) <= Gamma    odd n
+band   OneSidedOdd         |I - F_n| from a single band edge + the
+                           endpoint difference rate of f^(n-1)       odd n
+band   PerturbedEven       |I - F_n - perturbation| likewise         even n
+sharp  SharpOdd/SharpEven  best-constant bound via sigma(f^(n))      by parity
+=====  ==================  ========================================  =========
 
 F_n is the corrected rule value; I the true integral; sigma(g) the squared
-l2 norm of g minus (b-a) times its squared mean.  A one-sided certificate
-records its side in its half-infinite band: a finite gamma is the lower edge,
-a finite Gamma the upper one.  ``certify`` builds any of them from a
-certificate name in CERTIFICATES.
+l2 norm of g minus (b-a) times its squared mean.  "band" is BandOdd when n is
+odd and both band edges are finite, and a one-sided bound otherwise;
+``reads_rate`` is that one decision.  A one-sided certificate records its
+side in its half-infinite band: a finite gamma is the lower edge, a finite
+Gamma the upper one.
 """
 
 from __future__ import annotations
@@ -49,14 +51,8 @@ __all__ = [
     "DerivativeBand",
     "CertificateKind",
     "ErrorCertificate",
-    "bound_l1",
-    "bound_l2",
-    "bound_linf",
-    "bound_band_odd",
-    "bound_one_sided_odd",
-    "bound_perturbed_even",
-    "bound_sharp",
     "CERTIFICATES",
+    "reads_rate",
     "certify",
 ]
 
@@ -174,126 +170,9 @@ def _certificate(
     )
 
 
-def bound_l1(
-    spec: RuleSpec, norm1: float, provenance: str = "user-supplied"
-) -> ErrorCertificate:
-    """|I - F_n| <= sup|K| * ||f^(n)||_1."""
-    norms = NormData(l1=norm1, provenance=provenance)
-    return _certificate(CertificateKind.L1, spec, closed_max_abs(spec) * norm1, norms)
-
-
-def bound_l2(
-    spec: RuleSpec, norm2: float, provenance: str = "user-supplied"
-) -> ErrorCertificate:
-    """|I - F_n| <= ||K||_2 * ||f^(n)||_2, with ||K||_2 = sqrt(closed_l2_sq)."""
-    norms = NormData(l2=norm2, provenance=provenance)
-    return _certificate(CertificateKind.L2, spec, math.sqrt(closed_l2_sq(spec)) * norm2, norms)
-
-
-def bound_linf(
-    spec: RuleSpec, norminf: float, provenance: str = "user-supplied"
-) -> ErrorCertificate:
-    """|I - F_n| <= int|K| * ||f^(n)||_inf, with int|K| from the kernel module."""
-    norms = NormData(linf=norminf, provenance=provenance)
-    return _certificate(CertificateKind.LINF, spec, closed_abs_integral(spec) * norminf, norms)
-
-
-def _check_band_order(spec: RuleSpec, band: DerivativeBand) -> None:
-    if band.order != spec.n:
-        raise ValidationError(
-            f"band is for derivative order {band.order}, rule expects {spec.n}"
-        )
-
-
-def bound_band_odd(spec: RuleSpec, band: DerivativeBand) -> ErrorCertificate:
-    """Two-sided band bound for odd n: half the band width replaces the sup norm."""
-    if spec.n % 2 != 1:
-        raise ValidationError("the band bound applies to odd n only")
-    _check_band_order(spec, band)
-    if not (math.isfinite(band.gamma) and math.isfinite(band.Gamma)):
-        raise ValidationError("the two-sided band bound needs finite gamma and Gamma")
-    half_width = 0.5 * (band.Gamma - band.gamma)
-    return _certificate(
-        CertificateKind.BAND_ODD, spec, half_width * closed_abs_integral(spec), band=band
-    )
-
-
-def _one_sided(
-    spec: RuleSpec, side: str, band_edge: float, rate: float, perturbed: bool
-) -> ErrorCertificate:
-    """|rate - edge| (b-a) times sup|K|, or the centered sup for the perturbed rule."""
-    if side not in ("lower", "upper"):
-        raise ValidationError(f"side must be 'lower' or 'upper', got {side!r}")
-    if not math.isfinite(band_edge) or not math.isfinite(rate):
-        raise ValidationError("band_edge and endpoint_diff_rate must be finite")
-    if (rate < band_edge) if side == "lower" else (band_edge < rate):
-        raise ValidationError(
-            f"a {side} band edge {band_edge!r} must lie on the {side} side of "
-            f"endpoint_diff_rate {rate!r}"
-        )
-    sup = kernel_centered_max_closed(spec) if perturbed else closed_max_abs(spec)
-    if side == "lower":
-        band = DerivativeBand(gamma=band_edge, Gamma=math.inf, order=spec.n)
-    else:
-        band = DerivativeBand(gamma=-math.inf, Gamma=band_edge, order=spec.n)
-    return _certificate(
-        CertificateKind.PERTURBED_EVEN if perturbed else CertificateKind.ONE_SIDED_ODD,
-        spec,
-        abs(rate - band_edge) * spec.width * sup,
-        NormData(endpoint_diff_rate=rate),
-        band,
-        covers_perturbed_rule=perturbed,
-    )
-
-
-def bound_one_sided_odd(
-    spec: RuleSpec, side: str, band_edge: float, endpoint_diff_rate: float
-) -> ErrorCertificate:
-    """One-sided band bound for odd n.
-
-    Uses a single edge gamma <= f^(n) (side="lower") or f^(n) <= Gamma
-    (side="upper") plus the exact mean rate of f^(n); the budget is
-    |rate - edge| (b-a)^(n+1) / (n! 2^n) times the kernel sup factor.
-    """
-    if spec.n % 2 != 1:
-        raise ValidationError("the one-sided bound applies to odd n only")
-    return _one_sided(spec, side, band_edge, endpoint_diff_rate, perturbed=False)
-
-
-def bound_perturbed_even(
-    spec: RuleSpec, side: str, band_edge: float, endpoint_diff_rate: float
-) -> ErrorCertificate:
-    """One-sided bound on the perturbed even rule |I - F_n - perturbation|.
-
-    For n = 2m the budget is |rate - edge| (b-a)^(2m+1) / ((2m)! 2^(2m))
-    times the centered kernel sup factor.
-    """
-    if spec.n % 2 != 0:
-        raise ValidationError("the perturbed bound applies to even n only")
-    return _one_sided(spec, side, band_edge, endpoint_diff_rate, perturbed=True)
-
-
-def bound_sharp(
-    spec: RuleSpec, sigma: float, provenance: str = "user-supplied"
-) -> ErrorCertificate:
-    """Best-constant bound from sigma(f^(n)).
-
-    The budget is sqrt(sigma(K)) sqrt(sigma) with sigma(K) from
-    closed_centered_l2_sq.  For odd n, sigma(K) = ||K||_2^2 and the budget
-    bounds |I - F_n|; for even n it bounds the perturbed-rule error.
-    Equality is attained when f^(n) is a scalar multiple of K (plus a
-    constant in the even case); integrate.sharpness_check runs the rule on
-    f^(n) = K in exact arithmetic and finds the error equal to sigma(K).
-    """
-    norms = NormData(sigma=sigma, provenance=provenance)
-    even = spec.n % 2 == 0
-    kind = CertificateKind.SHARP_EVEN if even else CertificateKind.SHARP_ODD
-    bound = math.sqrt(closed_centered_l2_sq(spec)) * math.sqrt(sigma)
-    return _certificate(kind, spec, bound, norms, covers_perturbed_rule=even)
-
-
 #: Certificate name -> the NormData field it consumes.  "band" also needs a
-#: DerivativeBand; its field, the mean rate of f^(n), is read for even n only.
+#: DerivativeBand; its field, the mean rate of f^(n), is read where reads_rate
+#: says so.
 CERTIFICATES = {
     "l1": "l1",
     "l2": "l2",
@@ -301,6 +180,17 @@ CERTIFICATES = {
     "band": "endpoint_diff_rate",
     "sharp": "sigma",
 }
+
+
+def reads_rate(kind: str | None, n: int, band: DerivativeBand | None) -> bool:
+    """Whether certificate ``kind`` at order ``n`` reads the mean rate of f^(n).
+
+    Only "band" does, unless n is odd and both edges of ``band`` are finite:
+    that case is the two-sided BandOdd bound, which reads the band alone.
+    """
+    if kind != "band" or band is None:
+        return False
+    return n % 2 == 0 or not (math.isfinite(band.gamma) and math.isfinite(band.Gamma))
 
 
 def _datum(spec: RuleSpec, kind: str, norms: NormData | None) -> float:
@@ -320,35 +210,63 @@ def certify(
 ) -> ErrorCertificate:
     """The certificate named ``kind`` (a key of CERTIFICATES) for ``spec``.
 
-    Norm kinds read their NormData field and keep its provenance.  "band"
-    gives the two-sided bound for odd n; for even n it gives the tighter
-    valid side of the perturbed one-sided bound, with ``rate`` (default
-    ``norms.endpoint_diff_rate``) as the mean of f^(n).
+    Norm kinds read their NormData field d and keep its provenance; the
+    budget is a kernel statistic times d: max|K| (l1), ||K||_2 (l2), int|K|
+    (linf), or sqrt(sigma(K)) times sqrt(d) (sharp, SharpOdd/SharpEven by
+    parity).  "band" reads ``band``: with odd n and two finite edges it is
+    BandOdd, half the band width times int|K|.  Otherwise it reads the mean
+    rate of f^(n), ``rate`` if given, else ``norms.endpoint_diff_rate`` with
+    its provenance, and takes the tighter valid side of the one-sided bound,
+    |rate - edge| (b - a) times max|K| (OneSidedOdd, odd n) or the centered
+    sup of K (PerturbedEven, even n, bounding the perturbed rule); the lower
+    side wins a tie.  Its half-infinite band records the side.
     """
     if kind not in CERTIFICATES:
         raise ValidationError(
             f"unknown certificate kind {kind!r}; expected one of {tuple(CERTIFICATES)}"
         )
+    even = spec.n % 2 == 0
     if kind != "band":
-        # Looked up per call, so a rebound module-level bound_* is the one called.
-        bound = {"l1": bound_l1, "l2": bound_l2, "linf": bound_linf, "sharp": bound_sharp}
-        return bound[kind](spec, _datum(spec, kind, norms), norms.provenance)
+        d = _datum(spec, kind, norms)
+        if kind == "l1":
+            theorem, bound = CertificateKind.L1, closed_max_abs(spec) * d
+        elif kind == "l2":
+            theorem, bound = CertificateKind.L2, math.sqrt(closed_l2_sq(spec)) * d
+        elif kind == "linf":
+            theorem, bound = CertificateKind.LINF, closed_abs_integral(spec) * d
+        else:
+            theorem = CertificateKind.SHARP_EVEN if even else CertificateKind.SHARP_ODD
+            bound = math.sqrt(closed_centered_l2_sq(spec)) * math.sqrt(d)
+        datum = NormData(**{CERTIFICATES[kind]: d}, provenance=norms.provenance)
+        covers = theorem is CertificateKind.SHARP_EVEN
+        return _certificate(theorem, spec, bound, datum, covers_perturbed_rule=covers)
     if band is None:
         raise ValidationError("certificate 'band' needs a DerivativeBand")
-    _check_band_order(spec, band)
-    if spec.n % 2 == 1:
-        return bound_band_odd(spec, band)
-    if rate is None:
-        rate = _datum(spec, kind, norms)
-    sides = []
-    if math.isfinite(band.gamma) and rate >= band.gamma:
-        sides.append(bound_perturbed_even(spec, "lower", band.gamma, rate))
-    if math.isfinite(band.Gamma) and band.Gamma >= rate:
-        sides.append(bound_perturbed_even(spec, "upper", band.Gamma, rate))
-    if not sides:
+    if band.order != spec.n:
         raise ValidationError(
-            f"no valid side for the even-n band certificate: the rate {rate!r} "
-            "violates the supplied band"
+            f"band is for derivative order {band.order}, rule expects {spec.n}"
         )
-    return min(sides, key=lambda cert: cert.bound)
-
+    if not reads_rate(kind, spec.n, band):
+        bound = 0.5 * (band.Gamma - band.gamma) * closed_abs_integral(spec)
+        return _certificate(CertificateKind.BAND_ODD, spec, bound, band=band)
+    if rate is None:
+        datum = NormData(endpoint_diff_rate=_datum(spec, kind, norms), provenance=norms.provenance)
+    else:
+        datum = NormData(endpoint_diff_rate=rate)  # rejects a non-finite rate
+    rate = datum.endpoint_diff_rate
+    lower = math.isfinite(band.gamma) and rate >= band.gamma
+    upper = math.isfinite(band.Gamma) and band.Gamma >= rate
+    if not (lower or upper):
+        raise ValidationError(
+            f"no valid side for the band certificate: no finite band edge bounds the "
+            f"rate {rate!r}"
+        )
+    sup = kernel_centered_max_closed(spec) if even else closed_max_abs(spec)
+    low = abs(rate - band.gamma) * spec.width * sup if lower else None
+    high = abs(rate - band.Gamma) * spec.width * sup if upper else None
+    if high is None or (low is not None and low <= high):
+        bound, side = low, DerivativeBand(band.gamma, math.inf, spec.n)
+    else:
+        bound, side = high, DerivativeBand(-math.inf, band.Gamma, spec.n)
+    theorem = CertificateKind.PERTURBED_EVEN if even else CertificateKind.ONE_SIDED_ODD
+    return _certificate(theorem, spec, bound, datum, side, covers_perturbed_rule=even)

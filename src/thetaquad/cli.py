@@ -24,7 +24,7 @@ import sys
 
 import argparse
 
-from .bounds import CERTIFICATES, DerivativeBand, ErrorCertificate, NormData, certify
+from .bounds import CERTIFICATES, DerivativeBand, ErrorCertificate, NormData, certify, reads_rate
 from .errors import ConvergenceError, ThetaQuadError, ValidationError
 from .functions import AnalyticFunction, parse_function
 from .integrate import (
@@ -209,12 +209,22 @@ def _certificate_inputs(
     """Norm/band inputs for certify: explicit flags beat exact metadata.
 
     A norm flag the certificate does not read is an error: "band" reads
-    --gamma/--Gamma, and --rate at even n only; every other kind reads its
-    CERTIFICATES field, and no certificate (``kind`` None) reads none.
+    --gamma/--Gamma, and --rate where ``reads_rate`` says so; every other
+    kind reads its CERTIFICATES field, and no certificate (``kind`` None)
+    reads none.
     """
     n, a, b = spec.n, spec.a, spec.b
+    band = None
     if kind == "band":
-        read = ("gamma", "Gamma", "rate") if n % 2 == 0 else ("gamma", "Gamma")
+        if args.gamma is not None and args.Gamma is not None:
+            band = DerivativeBand(args.gamma, args.Gamma, order=n)
+        elif args.gamma is not None or args.Gamma is not None:
+            raise ValidationError("band certificates need both --gamma and --Gamma")
+        elif fn is None:
+            raise ValidationError("certificate 'band' needs --gamma/--Gamma or --f")
+        else:
+            band = fn.band(n, a, b)
+        read = ("gamma", "Gamma", "rate") if reads_rate(kind, n, band) else ("gamma", "Gamma")
     else:
         read = () if kind is None else (CERTIFICATES[kind],)
     flags = ("l1", "l2", "linf", "gamma", "Gamma", "sigma", "rate")
@@ -222,16 +232,8 @@ def _certificate_inputs(
     if unread:
         reader = "without --bound" if kind is None else f"by --bound {kind} at n={n}"
         raise ValidationError(f"{', '.join(unread)} not read {reader}")
-    if kind is None:
-        return None, None
-    if kind == "band":
-        if args.gamma is not None and args.Gamma is not None:
-            return None, DerivativeBand(args.gamma, args.Gamma, order=n)
-        if args.gamma is not None or args.Gamma is not None:
-            raise ValidationError("band certificates need both --gamma and --Gamma")
-        if fn is None:
-            raise ValidationError("certificate 'band' needs --gamma/--Gamma or --f")
-        return None, fn.band(n, a, b)
+    if kind is None or kind == "band":
+        return None, band
     field = CERTIFICATES[kind]
     flag = getattr(args, field)
     if flag is not None:
@@ -285,7 +287,9 @@ def _cmd_bound(args: argparse.Namespace) -> None:
     kind = args.bound
     norms, band = _certificate_inputs(args, fn, spec, kind)
     rate = args.rate
-    if rate is None and fn is not None and band is not None and spec.n % 2 == 0:
+    if rate is None and reads_rate(kind, spec.n, band):
+        if fn is None:
+            raise ValidationError(f"certificate {kind!r} at n={spec.n} needs --rate or --f")
         rate = fn.endpoint_diff_rate(spec.n, spec.a, spec.b)
     cert = certify(spec, kind, norms, band, rate)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from .bounds import DerivativeBand, NormData
 from .errors import ValidationError, check_int, check_interval
 from .poly import _chain_roots, _derivative_chain, _horner, _integral_on, _square_coeffs
-from .rules import Integrand
+from .rules import Integrand, _mean_rate
 
 __all__ = [
     "AnalyticFunction",
@@ -80,7 +80,7 @@ class AnalyticFunction:
     def endpoint_diff_rate(self, order: int, a: float, b: float) -> float:
         check_int("derivative order", order, 1)
         a, b = check_interval(a, b)
-        return (self.derivative(order - 1, b) - self.derivative(order - 1, a)) / (b - a)
+        return _mean_rate(self.derivative, order, a, b)
 
     def norm_data(self, order: int, a: float, b: float) -> NormData:
         check_int("derivative order", order, 1)

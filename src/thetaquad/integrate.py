@@ -59,9 +59,6 @@ _GL_HALF_WEIGHTS = (
 _GL_NODES = tuple(-x for x in reversed(_GL_HALF_NODES[1:])) + _GL_HALF_NODES
 _GL_WEIGHTS = tuple(reversed(_GL_HALF_WEIGHTS[1:])) + _GL_HALF_WEIGHTS
 
-#: Certificate kinds accepted by composite_integrate (bounds.CERTIFICATES).
-COMPOSITE_CERTIFICATES = tuple(bounds.CERTIFICATES)
-
 
 def _gl_panel(f, lo: float, hi: float) -> float:
     """The 15-node rule on [lo, hi]; f(k, x) is f^(k)(x)."""
@@ -158,17 +155,16 @@ def _rule_panels(
     rate of f^(n)) into the value.  With a ``certificate`` name each panel
     gets a budget, and the value includes the perturbation exactly when that
     certificate covers it.  The certificate and int K are closed forms in
-    (theta, n, width), so each is built once per distinct panel width; the
-    even-n "band" certificate also reads the panel's own rate and is built
-    per panel.  The rate is evaluated at most once per panel, and only when
-    the certificate or the value reads it.  Panel values are reduced in
-    ascending order with compensated summation.
+    (theta, n, width), so each is built once per distinct panel width; a
+    certificate that reads the rate (``bounds.reads_rate``) reads the panel's
+    own and is built per panel.  The rate is evaluated at most once per
+    panel, and only when the certificate or the value reads it.  Panel
+    values are reduced in ascending order with compensated summation.
     """
     check_int("panels", panels, 1)
-    even = spec.n % 2 == 0
-    if perturbed and not even:
+    if perturbed and spec.n % 2 == 1:
         raise ValidationError(f"the perturbed rule needs even n, got n={spec.n}")
-    per_panel = even and certificate == "band"
+    per_panel = bounds.reads_rate(certificate, spec.n, band)
     ev = f._on(spec.a, spec.b)
     edges = _panel_edges(spec.a, spec.b, panels)
     by_width: dict[float, tuple] = {}
@@ -245,9 +241,10 @@ def composite_integrate(
     inputs are global for [a, b] and reused on every panel; that is
     conservative because every norm a certificate consumes can only shrink
     on a subinterval (sigma included: the panel-centred variance is at most
-    the interval variance).  The endpoint rates that the even-n "band"
-    certificate needs are computed exactly per panel from f's derivative
-    closures, so it is certified once per panel.
+    the interval variance).  A one-sided "band" certificate (even n, or a
+    half-infinite band at odd n) reads each panel's own mean rate of f^(n),
+    computed exactly from f's derivative closures, so it is certified once
+    per panel; ``norms.endpoint_diff_rate`` is never read.
     """
     if certificate is None:  # the panel loop reads None as "no certificate"
         raise ValidationError("composite_integrate needs a certificate kind")

@@ -11,17 +11,16 @@ from pathlib import Path
 import pytest
 
 from thetaquad import (
+    CERTIFICATES,
     DerivativeBand,
     Exponential,
+    NormData,
     PolynomialFunction,
     Runge,
     RuleSpec,
     Sine,
     apply_rule,
-    bound_band_odd,
-    bound_l1,
-    bound_linf,
-    bound_one_sided_odd,
+    certify,
     composite_integrate,
     kernel_stats_brute,
     kernel_stats_closed,
@@ -29,7 +28,6 @@ from thetaquad import (
     sharpness_check,
 )
 from thetaquad.cli import run_cli
-from thetaquad.integrate import COMPOSITE_CERTIFICATES
 
 THETA_GRID = [i / 10.0 for i in range(11)]
 INTERVALS = [(0.0, 1.0), (-1.0, 2.0)]
@@ -97,12 +95,12 @@ def test_2_exactness_ladder():
 def test_3_special_constant_regression():
     third = 1.0 / 3.0
     cases = [
-        (bound_linf(spec(third, 2), 1.0).bound, 1.0 / 81.0),
-        (bound_l1(spec(third, 3), 1.0).bound, 1.0 / 324.0),
-        (bound_linf(spec(third, 4), 1.0).bound, 1.0 / 2880.0),
+        (certify(spec(third, 2), "linf", NormData(linf=1.0)).bound, 1.0 / 81.0),
+        (certify(spec(third, 3), "l1", NormData(l1=1.0)).bound, 1.0 / 324.0),
+        (certify(spec(third, 4), "linf", NormData(linf=1.0)).bound, 1.0 / 2880.0),
         (
-            bound_one_sided_odd(
-                spec(1.0, 3), side="lower", band_edge=0.0, endpoint_diff_rate=1.0
+            certify(
+                spec(1.0, 3), "band", band=DerivativeBand(0.0, math.inf, 3), rate=1.0
             ).bound,
             1.0 / 24.0,
         ),
@@ -110,7 +108,7 @@ def test_3_special_constant_regression():
     for gamma, Gamma in ((0.0, 1.0), (-1.5, 2.5)):
         cases.append(
             (
-                bound_band_odd(spec(0.0, 1), DerivativeBand(gamma, Gamma, 1)).bound,
+                certify(spec(0.0, 1), "band", band=DerivativeBand(gamma, Gamma, 1)).bound,
                 (Gamma - gamma) / 8.0,
             )
         )
@@ -134,7 +132,7 @@ def test_4_bound_validity_sweep():
                 band = fn.band(n, a, b)
                 for theta in (0.0, 1.0 / 3.0, 0.5, 1.0):
                     s = spec(theta, n, a, b)
-                    for certificate in COMPOSITE_CERTIFICATES:
+                    for certificate in CERTIFICATES:
                         for panels in (1, 4):
                             res = composite_integrate(
                                 f, s, panels=panels, certificate=certificate,
@@ -157,7 +155,7 @@ def test_5_midpoint_and_trapezoid_equality_witnesses():
     for theta, expected_error in ((0.0, 1.0 / 12.0), (1.0, 1.0 / 6.0)):
         s = spec(theta, 2)
         err = abs(exact - apply_rule(f, s).f_n_value)
-        cert = bound_linf(s, 2.0)
+        cert = certify(s, "linf", NormData(linf=2.0))
         assert abs(err - expected_error) <= 1e-13
         assert abs(cert.bound - expected_error) <= 1e-13
         assert abs(err - cert.bound) <= 1e-13

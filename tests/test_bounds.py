@@ -14,24 +14,30 @@ from thetaquad import (
     NormData,
     RuleSpec,
     ValidationError,
-    bound_band_odd,
-    bound_l1,
-    bound_l2,
-    bound_linf,
-    bound_one_sided_odd,
-    bound_perturbed_even,
-    bound_sharp,
     certify,
     composite_integrate,
     kernel_stats_closed,
     sigma_functional,
 )
+from thetaquad import bounds
 
 thetas = st.floats(min_value=0.0, max_value=1.0)
 
 
 def spec(theta, n, a=0.0, b=1.0):
     return RuleSpec(theta=theta, n=n, a=a, b=b)
+
+
+def norm_cert(s, kind, datum, provenance="user-supplied"):
+    """The certificate ``kind`` from its one NormData field."""
+    return certify(s, kind, NormData(**{CERTIFICATES[kind]: datum}, provenance=provenance))
+
+
+def one_sided(s, side, edge, rate):
+    """The "band" certificate from a half-infinite band with its finite edge on ``side``."""
+    if side == "lower":
+        return certify(s, "band", band=DerivativeBand(edge, math.inf, s.n), rate=rate)
+    return certify(s, "band", band=DerivativeBand(-math.inf, edge, s.n), rate=rate)
 
 
 # -------------------------------------------------------------- input types
@@ -79,50 +85,47 @@ def test_certificate_rejects_bad_bound_values():
 
 
 def test_l1_coefficient_cubic_parabolic_blend():
-    cert = bound_l1(spec(1.0 / 3.0, 3), 1.0)
+    cert = norm_cert(spec(1.0 / 3.0, 3), "l1", 1.0)
     assert cert.bound == pytest.approx(1.0 / 324.0, rel=1e-14)
     assert cert.theorem == CertificateKind.L1
 
 
 def test_sup_coefficient_classic_fourth_order():
-    cert = bound_linf(spec(1.0 / 3.0, 4), 1.0)
+    cert = norm_cert(spec(1.0 / 3.0, 4), "linf", 1.0)
     assert cert.bound == pytest.approx(1.0 / 2880.0, rel=1e-14)
 
 
 def test_sup_coefficient_second_order_parabolic():
-    cert = bound_linf(spec(1.0 / 3.0, 2), 1.0)
+    cert = norm_cert(spec(1.0 / 3.0, 2), "linf", 1.0)
     assert cert.bound == pytest.approx(1.0 / 81.0, rel=1e-14)
 
 
 def test_l2_coefficient_averaged_first_order():
-    cert = bound_l2(spec(0.5, 1), 1.0)
+    cert = norm_cert(spec(0.5, 1), "l2", 1.0)
     assert cert.bound == pytest.approx(1.0 / (4.0 * math.sqrt(3.0)), rel=1e-14)
 
 
 def test_band_coefficient_midpoint_first_order():
     for gamma, Gamma in ((0.0, 1.0), (-2.0, 3.0)):
-        cert = bound_band_odd(spec(0.0, 1), DerivativeBand(gamma, Gamma, 1))
+        cert = certify(spec(0.0, 1), "band", band=DerivativeBand(gamma, Gamma, 1))
         assert cert.bound == pytest.approx((Gamma - gamma) / 8.0, rel=1e-14)
 
 
 def test_one_sided_coefficient_trapezoid_cubic():
-    cert = bound_one_sided_odd(
-        spec(1.0, 3), side="lower", band_edge=0.0, endpoint_diff_rate=1.0
-    )
+    cert = one_sided(spec(1.0, 3), "lower", 0.0, 1.0)
     assert cert.bound == pytest.approx(1.0 / 24.0, rel=1e-14)
     assert cert.theorem == CertificateKind.ONE_SIDED_ODD
 
 
 def test_perturbed_coefficient_parabolic_second_order():
-    cert = bound_perturbed_even(
-        spec(1.0 / 3.0, 2), side="lower", band_edge=0.0, endpoint_diff_rate=1.0
-    )
+    cert = one_sided(spec(1.0 / 3.0, 2), "lower", 0.0, 1.0)
+    assert cert.theorem == CertificateKind.PERTURBED_EVEN
     assert cert.bound == pytest.approx(1.0 / 24.0, rel=1e-14)
     assert cert.covers_perturbed_rule
 
 
 def test_sharp_coefficient_parabolic_second_order():
-    cert = bound_sharp(spec(1.0 / 3.0, 2), sigma=1.0)
+    cert = norm_cert(spec(1.0 / 3.0, 2), "sharp", 1.0)
     assert cert.bound == pytest.approx(math.sqrt(1.0 / 4320.0), rel=1e-13)
     assert cert.covers_perturbed_rule
 
@@ -145,11 +148,11 @@ def test_unit_datum_budgets_are_the_kernel_statistics(n):
             "sharp": math.sqrt(stats.centered_l2_sq),
         }
         if n % 2 == 1:
-            assert bound_band_odd(s, DerivativeBand(-1.0, 1.0, n)).bound == stats.abs_integral
-            one_sided = bound_one_sided_odd(s, "lower", 0.0, 1.0).bound
-            assert one_sided == stats.max_abs
+            band_odd = certify(s, "band", band=DerivativeBand(-1.0, 1.0, n)).bound
+            assert band_odd == stats.abs_integral
+            assert one_sided(s, "lower", 0.0, 1.0).bound == stats.max_abs
         else:
-            perturbed = bound_perturbed_even(s, "upper", 1.0, 0.0).bound
+            perturbed = one_sided(s, "upper", 1.0, 0.0).bound
             assert perturbed == stats.centered_max_abs
 
 
@@ -160,37 +163,35 @@ def test_unit_datum_budgets_are_the_kernel_statistics(n):
 
 @pytest.mark.parametrize("n", [1, 3, 5, 7])
 def test_trapezoid_band_coefficient(n):
-    cert = bound_band_odd(spec(1.0, n), DerivativeBand(0.0, 1.0, n))
+    cert = certify(spec(1.0, n), "band", band=DerivativeBand(0.0, 1.0, n))
     expected = n / (math.factorial(n + 1) * 2.0 ** (n + 1))
     assert cert.bound == pytest.approx(expected, rel=1e-13)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
 def test_trapezoid_sup_coefficient_even(n):
-    cert = bound_linf(spec(1.0, n), 1.0)
+    cert = norm_cert(spec(1.0, n), "linf", 1.0)
     expected = n / (math.factorial(n + 1) * 2.0**n)
     assert cert.bound == pytest.approx(expected, rel=1e-13)
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
 def test_trapezoid_one_sided_coefficient(n):
-    cert = bound_one_sided_odd(
-        spec(1.0, n), side="upper", band_edge=1.0, endpoint_diff_rate=0.0
-    )
+    cert = one_sided(spec(1.0, n), "upper", 1.0, 0.0)
     expected = (n - 1) / (math.factorial(n) * 2.0**n)
     assert cert.bound == pytest.approx(expected, rel=1e-13)
 
 
 @pytest.mark.parametrize("n", [1, 3, 5, 7])
 def test_midpoint_band_coefficient(n):
-    cert = bound_band_odd(spec(0.0, n), DerivativeBand(0.0, 1.0, n))
+    cert = certify(spec(0.0, n), "band", band=DerivativeBand(0.0, 1.0, n))
     expected = 1.0 / (math.factorial(n + 1) * 2.0 ** (n + 1))
     assert cert.bound == pytest.approx(expected, rel=1e-13)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_parabolic_sup_coefficient_all_orders(n):
-    cert = bound_linf(spec(1.0 / 3.0, n), 1.0)
+    cert = norm_cert(spec(1.0 / 3.0, n), "linf", 1.0)
     if n < 3:
         bracket = 4.0 * n**n / 6.0 ** (n + 1) - (n - 2) / (3.0 * 2.0**n)
         expected = bracket / math.factorial(n + 1)
@@ -205,7 +206,7 @@ def test_parabolic_sup_coefficient_all_orders(n):
 )
 def test_averaged_l1_coefficient(n, numerator):
     # sup|kernel| numerators at theta = 1/2: 1/2, 1/4, 1/2, then (n-2)/2
-    cert = bound_l1(spec(0.5, n), 1.0)
+    cert = norm_cert(spec(0.5, n), "l1", 1.0)
     expected = numerator / (math.factorial(n) * 2.0**n)
     assert cert.bound == pytest.approx(expected, rel=1e-13)
 
@@ -217,7 +218,7 @@ def test_averaged_l1_coefficient(n, numerator):
 )
 def test_parabolic_l1_coefficient(n, numerator):
     # sup|kernel| numerators at theta = 1/3: 2/3, 1/3, 4/27, 1/3, then (n-3)/3
-    cert = bound_l1(spec(1.0 / 3.0, n), 1.0)
+    cert = norm_cert(spec(1.0 / 3.0, n), "l1", 1.0)
     expected = numerator / (math.factorial(n) * 2.0**n)
     assert cert.bound == pytest.approx(expected, rel=1e-13)
 
@@ -230,16 +231,16 @@ def test_symmetric_band_equals_sup_bound(theta, i, m):
     """A band [-M, M] carries exactly the information of a sup norm M."""
     n = 2 * i + 1
     s = spec(theta, n)
-    banded = bound_band_odd(s, DerivativeBand(-m, m, n))
-    supped = bound_linf(s, m)
+    banded = certify(s, "band", band=DerivativeBand(-m, m, n))
+    supped = norm_cert(s, "linf", m)
     assert banded.bound == pytest.approx(supped.bound, rel=1e-12)
 
 
 @given(thetas, st.integers(min_value=1, max_value=6), st.floats(min_value=0.0, max_value=100.0))
 def test_bounds_scale_linearly_in_the_norm(theta, n, norm):
     s = spec(theta, n)
-    unit = bound_l1(s, 1.0).bound
-    assert bound_l1(s, norm).bound == pytest.approx(unit * norm, rel=1e-12, abs=1e-300)
+    unit = norm_cert(s, "l1", 1.0).bound
+    assert norm_cert(s, "l1", norm).bound == pytest.approx(unit * norm, rel=1e-12, abs=1e-300)
 
 
 @given(thetas, st.integers(min_value=1, max_value=6))
@@ -248,9 +249,9 @@ def test_l2_between_l1_and_sup_flavours(theta, n):
     Cauchy-Schwarz on the unit interval: linf-coeff >= l2-coeff >= ... the
     l1 coefficient is sup|K| which dominates the L2 norm of K as well."""
     s = spec(theta, n)
-    c_l1 = bound_l1(s, 1.0).bound  # sup|K|
-    c_l2 = bound_l2(s, 1.0).bound  # (integral K^2)^(1/2)
-    c_linf = bound_linf(s, 1.0).bound  # integral |K|
+    c_l1 = norm_cert(s, "l1", 1.0).bound  # sup|K|
+    c_l2 = norm_cert(s, "l2", 1.0).bound  # (integral K^2)^(1/2)
+    c_linf = norm_cert(s, "linf", 1.0).bound  # integral |K|
     assert c_l2 <= c_l1 * (1.0 + 1e-12)  # ||K||_2 <= sup|K| * width^(1/2)
     assert c_linf <= c_l1 * (1.0 + 1e-12)  # integral |K| <= sup|K| * width
     assert c_l2**2 <= c_l1 * c_linf * (1.0 + 1e-12)  # K^2 <= sup|K| * |K|
@@ -260,26 +261,28 @@ def test_one_sided_requires_a_valid_gap():
     s = spec(1.0, 3)
     with pytest.raises(ValidationError):
         # lower edge must sit below the endpoint difference rate
-        bound_one_sided_odd(s, side="lower", band_edge=2.0, endpoint_diff_rate=1.0)
+        one_sided(s, "lower", 2.0, 1.0)
     with pytest.raises(ValidationError):
-        bound_one_sided_odd(s, side="upper", band_edge=0.0, endpoint_diff_rate=1.0)
-    with pytest.raises(ValidationError):
-        bound_one_sided_odd(s, side="sideways", band_edge=0.0, endpoint_diff_rate=1.0)
+        one_sided(s, "upper", 0.0, 1.0)
 
 
-def test_one_sided_parity_checks():
-    with pytest.raises(ValidationError):
-        bound_one_sided_odd(spec(0.5, 2), side="lower", band_edge=0.0, endpoint_diff_rate=1.0)
-    with pytest.raises(ValidationError):
-        bound_perturbed_even(spec(0.5, 3), side="lower", band_edge=0.0, endpoint_diff_rate=1.0)
-    with pytest.raises(ValidationError):
-        bound_band_odd(spec(0.5, 2), DerivativeBand(0.0, 1.0, 2))
+def test_parity_and_edges_pick_the_band_theorem():
+    two_sided, lower = DerivativeBand(0.0, 1.0, 3), DerivativeBand(0.0, math.inf, 3)
+    assert certify(spec(0.5, 3), "band", band=two_sided).theorem == CertificateKind.BAND_ODD
+    odd = certify(spec(0.5, 3), "band", band=lower, rate=0.5)
+    assert odd.theorem == CertificateKind.ONE_SIDED_ODD and not odd.covers_perturbed_rule
+    even = certify(spec(0.5, 2), "band", band=DerivativeBand(0.0, 1.0, 2), rate=0.5)
+    assert even.theorem == CertificateKind.PERTURBED_EVEN and even.covers_perturbed_rule
+    with pytest.raises(ValidationError, match="at n=2 needs NormData.endpoint_diff_rate"):
+        certify(spec(0.5, 2), "band", band=DerivativeBand(0.0, 1.0, 2))
+    with pytest.raises(ValidationError, match="at n=3 needs NormData.endpoint_diff_rate"):
+        certify(spec(0.5, 3), "band", band=lower)
 
 
 def test_band_order_must_match_the_rule_order():
     message = "band is for derivative order 4, rule expects 2"
     with pytest.raises(ValidationError):
-        bound_band_odd(spec(0.5, 3), DerivativeBand(0.0, 1.0, 1))
+        certify(spec(0.5, 3), "band", band=DerivativeBand(0.0, 1.0, 1))
     with pytest.raises(ValidationError, match=message):
         certify(spec(0.5, 2), "band", band=DerivativeBand(-1.0, 1.0, 4), rate=0.0)
     fn = Exponential()
@@ -289,24 +292,68 @@ def test_band_order_must_match_the_rule_order():
         )
 
 
-def test_band_requires_finite_edges():
-    with pytest.raises(ValidationError):
-        bound_band_odd(spec(0.5, 3), DerivativeBand(-math.inf, 1.0, 3))
+def test_band_requires_a_finite_edge():
+    for n in (2, 3):
+        with pytest.raises(ValidationError, match="no valid side"):
+            certify(spec(0.5, n), "band", band=DerivativeBand(-math.inf, math.inf, n), rate=0.0)
 
 
 def test_one_sided_certificate_stores_a_half_infinite_band():
-    cert = bound_one_sided_odd(
-        spec(1.0, 3), side="lower", band_edge=-2.0, endpoint_diff_rate=1.0
-    )
+    cert = one_sided(spec(1.0, 3), "lower", -2.0, 1.0)
     assert cert.band.gamma == -2.0
     assert cert.band.Gamma == math.inf
 
 
+@pytest.mark.parametrize("n", [1, 3, 5, 7])
+def test_one_sided_odd_through_certify(n):
+    """A half-infinite band at odd n gives OneSidedOdd: |rate - edge| (b - a) max|K|."""
+    s = spec(0.37, n, -0.5, 1.25)
+    sup = kernel_stats_closed(s).max_abs
+    for side, edge, rate in (("lower", -2.0, 0.75), ("upper", 3.0, 0.75)):
+        cert = one_sided(s, side, edge, rate)
+        assert cert.theorem == CertificateKind.ONE_SIDED_ODD
+        assert cert.bound == abs(rate - edge) * s.width * sup
+        assert not cert.covers_perturbed_rule
+        assert (cert.norms.endpoint_diff_rate, cert.norms.provenance) == (rate, "user-supplied")
+    band = DerivativeBand(-2.0, math.inf, n)
+    from_norms = certify(s, "band", NormData(endpoint_diff_rate=0.75), band)
+    assert from_norms == one_sided(s, "lower", -2.0, 0.75)
+
+
+@pytest.mark.parametrize("n, band", [(2, DerivativeBand(1.0, 2.0, 2)),
+                                     (3, DerivativeBand(1.0, math.inf, 3))])
+def test_band_rate_from_norms_keeps_its_provenance(n, band):
+    s = spec(0.5, n)
+    for provenance, rigor in (("sampled-heuristic", "heuristic-inputs"), ("exact", "rigorous")):
+        cert = certify(s, "band", NormData(endpoint_diff_rate=1.5, provenance=provenance), band)
+        assert (cert.norms.provenance, cert.rigor) == (provenance, rigor)
+    passed = certify(s, "band", band=band, rate=1.5)  # a rate argument is user-supplied
+    assert (passed.norms.provenance, passed.rigor) == ("user-supplied", "rigorous")
+
+
+def test_reads_rate_is_false_only_for_two_sided_odd_bands():
+    two_sided, half = DerivativeBand(0.0, 1.0, 3), DerivativeBand(0.0, math.inf, 3)
+    assert not bounds.reads_rate("band", 3, two_sided)
+    assert bounds.reads_rate("band", 3, half)
+    assert bounds.reads_rate("band", 2, two_sided) and bounds.reads_rate("band", 2, half)
+    for kind in ("l1", "l2", "linf", "sharp", None):
+        assert not bounds.reads_rate(kind, 2, two_sided)
+
+
+def test_tied_sides_pick_the_lower_edge():
+    s = spec(0.5, 2)
+    tie = certify(s, "band", band=DerivativeBand(0.0, 2.0, 2), rate=1.0)
+    assert (tie.band.gamma, tie.band.Gamma) == (0.0, math.inf)
+    closer_above = certify(s, "band", band=DerivativeBand(0.0, 1.5, 2), rate=1.0)
+    assert (closer_above.band.gamma, closer_above.band.Gamma) == (-math.inf, 1.5)
+    assert closer_above.bound == tie.bound / 2
+
+
 def test_heuristic_provenance_degrades_rigor():
     s = spec(0.5, 2)
-    assert bound_l1(s, 1.0).rigor == "rigorous"
-    assert bound_l1(s, 1.0, provenance="sampled-heuristic").rigor == "heuristic-inputs"
-    assert bound_sharp(s, 1.0, provenance="exact").rigor == "rigorous"
+    assert norm_cert(s, "l1", 1.0).rigor == "rigorous"
+    assert norm_cert(s, "l1", 1.0, provenance="sampled-heuristic").rigor == "heuristic-inputs"
+    assert norm_cert(s, "sharp", 1.0, provenance="exact").rigor == "rigorous"
 
 
 # ------------------------------------------------------------- sigma helper
@@ -336,7 +383,7 @@ def test_sigma_never_negative(order):
 
 @given(thetas, st.integers(min_value=1, max_value=3), st.floats(min_value=0.0, max_value=10.0))
 def test_sharp_even_bound_is_finite_and_nonnegative(theta, m, sigma):
-    cert = bound_sharp(spec(theta, 2 * m), sigma)
+    cert = norm_cert(spec(theta, 2 * m), "sharp", sigma)
     assert cert.bound >= 0.0
     assert math.isfinite(cert.bound)
 
@@ -346,6 +393,6 @@ def test_sharp_bound_dominated_by_l2_bound(theta, n):
     """The variance-based bound can only improve on the plain L2 bound when
     both are fed the matching norms (sigma <= ||f^(n)||_2^2)."""
     s = spec(theta, n)
-    l2 = bound_l2(s, 1.0).bound
-    sharp = bound_sharp(s, 1.0).bound  # sigma = 1 matches ||f^(n)||_2 = 1
+    l2 = norm_cert(s, "l2", 1.0).bound
+    sharp = norm_cert(s, "sharp", 1.0).bound  # sigma = 1 matches ||f^(n)||_2 = 1
     assert sharp <= l2

@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from thetaquad import CERTIFICATES, ConvergenceError, RuleSpec, Runge, composite_integrate
+from thetaquad import (
+    CERTIFICATES, ConvergenceError, Exponential, RuleSpec, Runge, composite_integrate,
+)
 from thetaquad import cli as cli_mod
 from thetaquad.cli import run_cli
 
@@ -235,6 +237,39 @@ def test_bound_band_odd(capsys):
     assert res["gamma"] == -1.0 and res["Gamma"] == 2.0
 
 
+def test_bound_band_odd_one_sided(capsys):
+    # the classical trapezoid constant (n - 1) / (n! 2^n) = 1/24 at n = 3
+    record = run_json(
+        capsys, "bound", "--bound", "band", "--n", "3", "--theta", "1",
+        "--a", "0", "--b", "1", "--gamma", "0", "--Gamma", "inf", "--rate", "1",
+    )
+    res = record["results"]
+    assert res["theorem"] == "OneSidedOddLower"
+    assert res["covers_perturbed_rule"] is False
+    assert res["bound"] == pytest.approx(1.0 / 24.0, rel=1e-14)
+    assert (res["side"], res["band_edge"], res["endpoint_diff_rate"]) == ("lower", 0.0, 1.0)
+
+
+def test_odd_half_infinite_band_reads_the_rate_of_f(capsys):
+    band = ["--bound", "band", "--gamma", "1", "--Gamma", "inf"]
+    interval = ["--n", "3", "--theta", "0.5", "--a", "0", "--b", "1"]
+    bound = run_json(capsys, "bound", "--f", "exp", *band, *interval)["results"]
+    assert bound["theorem"] == "OneSidedOddLower"
+    assert bound["endpoint_diff_rate"] == Exponential().endpoint_diff_rate(3, 0.0, 1.0)
+    res = run_json(capsys, "integrate", "--f", "exp", *band, *interval, "--panels", "4")
+    assert res["results"]["true_error"] <= res["results"]["bound"]
+
+
+@pytest.mark.parametrize("n, Gamma", [(2, "2"), (3, "inf")])
+def test_missing_band_rate_names_its_flags(capsys, n, Gamma):
+    code, out, err = run(
+        capsys, "bound", "--bound", "band", "--n", str(n), "--theta", "0.5",
+        "--a", "0", "--b", "1", "--gamma", "-1", "--Gamma", Gamma,
+    )
+    assert (code, out) == (2, "")
+    assert err == f"thetaquad: certificate 'band' at n={n} needs --rate or --f\n"
+
+
 def test_bound_sharp_from_builtin_sigma(capsys):
     record = run_json(
         capsys, "bound", "--bound", "sharp", "--f", "exp", "--n", "1",
@@ -404,7 +439,7 @@ def test_sharpness_end_to_end_equals_lhs_at_every_order(capsys, n):
          "--b", "1"],  # linf reads none of --l1, --gamma, --rate
         ["bound", "--bound", "band", "--n", "3", "--gamma", "-1", "--Gamma", "2",
          "--rate", "5", "--theta", "0.5", "--a", "0",
-         "--b", "1"],  # odd-n band reads no --rate
+         "--b", "1"],  # a two-sided odd-n band reads no --rate
         ["integrate", "--f", "exp", "--n", "2", "--theta", "0.5", "--a", "0",
          "--b", "1", "--bound", "l1", "--linf", "3"],  # l1 reads no --linf
         ["integrate", "--f", "exp", "--n", "2", "--theta", "0.5", "--a", "0",

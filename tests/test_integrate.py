@@ -9,8 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetaquad import (
+    CERTIFICATES,
     CapabilityError,
+    CertificateKind,
     ConvergenceError,
+    DerivativeBand,
     DomainError,
     Exponential,
     Integrand,
@@ -32,7 +35,6 @@ from thetaquad import bounds
 from thetaquad.integrate import (
     _GL_NODES,
     _GL_WEIGHTS,
-    COMPOSITE_CERTIFICATES,
     MAX_ORACLE_PANELS,
     _exact_value,
     _extremal_pieces,
@@ -183,7 +185,7 @@ def test_total_bound_is_the_sum_of_panel_bounds():
 
 @pytest.mark.parametrize("fn", [Exponential(), Runge()])
 @pytest.mark.parametrize("panels", [1, 2, 4, 8])
-@pytest.mark.parametrize("certificate", COMPOSITE_CERTIFICATES)
+@pytest.mark.parametrize("certificate", CERTIFICATES)
 def test_certificates_bound_the_true_error(fn, panels, certificate):
     a, b = 0.0, 1.0
     n = 2 if certificate in ("band", "sharp") else 3
@@ -220,7 +222,7 @@ def test_band_certificate_covers_perturbed_value_for_even_orders():
         norms, band = fn.norm_data(n, 0.0, 1.0), fn.band(n, 0.0, 1.0)
         rate = fn.endpoint_diff_rate(n, 0.0, 1.0)
         plain_rule = apply_rule(f, s)
-        for kind in COMPOSITE_CERTIFICATES:
+        for kind in CERTIFICATES:
             res = composite_integrate(f, s, panels=1, certificate=kind, norms=norms, band=band)
             covers = certify(s, kind, norms, band, rate).covers_perturbed_rule
             assert res.covers_perturbed_rule is covers, (kind, n)
@@ -260,10 +262,11 @@ def test_composite_evaluates_the_rate_only_where_it_is_read(n, certificate, rate
      (Sine(1.0), 1000.0, 1001.0, 13), (Runge(), -5.0, 5.0, 999)],
 )
 def test_one_certificate_per_width_equals_the_per_panel_definition(monkeypatch, fn, a, b, panels):
-    """Panel widths differ by ulps.  Each width is certified once (even-n band:
-    once per panel), and every output bit equals the definition: each panel
-    certified on its own, its value the fsum of apply_rule's terms plus the
-    perturbation where the certificate covers it."""
+    """Panel widths differ by ulps.  Each width is certified once (a one-sided
+    band, at even n or from a half-infinite band at odd n: once per panel),
+    and every output bit equals the definition: each panel certified on its
+    own, its value the fsum of apply_rule's terms plus the perturbation where
+    the certificate covers it."""
     calls = Counter()
     original = bounds.certify
 
@@ -279,25 +282,56 @@ def test_one_certificate_per_width_equals_the_per_panel_definition(monkeypatch, 
     assert widths > 1
     for n in range(1, 7):
         norms, band = fn.norm_data(n, a, b), fn.band(n, a, b)
+        half_infinite = [DerivativeBand(band.gamma, math.inf, n),
+                         DerivativeBand(-math.inf, band.Gamma, n)]
+        cases = [(kind, band) for kind in CERTIFICATES] + [("band", h) for h in half_infinite]
         for theta in (0.0, 1.0 / 3.0, 0.5, 1.0, 0.37):
             pspecs = [RuleSpec(theta, n, lo, hi) for lo, hi in zip(edges, edges[1:])]
             rules = [apply_rule(f, p) for p in pspecs]
             rates = [fn.endpoint_diff_rate(n, p.a, p.b) for p in pspecs]
-            for kind in COMPOSITE_CERTIFICATES:
-                certs = [original(p, kind, norms, band, r) for p, r in zip(pspecs, rates)]
+            for kind, kind_band in cases:
+                case = (kind, kind_band, n, theta)
+                try:
+                    certs = [original(p, kind, norms, kind_band, r)
+                             for p, r in zip(pspecs, rates)]
+                except ValidationError as exc:
+                    # Only where f^(n) is constant: a panel's rounded rate
+                    # then lies ulps beyond the one finite edge.
+                    assert band.gamma == band.Gamma and kind_band is not band, case
+                    with pytest.raises(ValidationError) as raised:
+                        composite_integrate(f, spec(theta, n, a, b), panels, kind,
+                                            norms=norms, band=kind_band)
+                    assert str(raised.value) == str(exc), case
+                    continue
                 covers = certs[0].covers_perturbed_rule
                 values = [math.fsum([r.base_value, *r.correction_terms]) for r in rules]
                 if covers:
                     values = [v + r.perturbation_term for v, r in zip(values, rules)]
                 calls.clear()
                 res = composite_integrate(f, spec(theta, n, a, b), panels, kind,
-                                          norms=norms, band=band)
-                case = (kind, n, theta)
-                assert calls["certify"] == (panels if kind == "band" and n % 2 == 0 else widths)
+                                          norms=norms, band=kind_band)
+                one_sided = certs[0].theorem in (
+                    CertificateKind.ONE_SIDED_ODD, CertificateKind.PERTURBED_EVEN
+                )
+                assert one_sided is (kind == "band" and (n % 2 == 0 or kind_band is not band))
+                assert calls["certify"] == (panels if one_sided else widths), case
                 assert res.value == math.fsum(values), case
                 assert res.per_panel_bound == tuple(c.bound for c in certs), case
                 assert res.total_bound == math.fsum(c.bound for c in certs), case
                 assert res.covers_perturbed_rule is covers, case
+
+
+def test_odd_one_sided_composite_reads_each_panel_rate_not_the_norms():
+    fn = Exponential()
+    f = fn.integrand(0.0, 1.0)
+    lower = DerivativeBand(1.0, math.inf, 3)  # f^(3) = exp >= 1 on [0, 1]
+    res = composite_integrate(f, spec(0.5, 3), 8, "band", band=lower)
+    wrong_rate = NormData(endpoint_diff_rate=1e6)
+    assert composite_integrate(f, spec(0.5, 3), 8, "band", norms=wrong_rate, band=lower) == res
+    assert not res.covers_perturbed_rule
+    plain = composite_integrate(f, spec(0.5, 3), 8, "linf", norms=NormData(linf=1.0))
+    assert res.value == plain.value
+    assert abs((math.e - 1.0) - res.value) <= res.total_bound
 
 
 def test_nan_derivative_is_rejected_not_certified():
@@ -484,11 +518,11 @@ def test_extremal_integrand_order_is_capped():
 
 def test_extremal_integrand_attains_the_sharp_bound():
     """Quadrature error on the worst-case integrand equals the certificate."""
-    from thetaquad import bound_sharp, sigma_functional
+    from thetaquad import sigma_functional
 
     s = spec(0.5, 3)
     f = extremal_integrand(s)
     err = true_error(f, s, tol=1e-13)
     sigma = sigma_functional(f, 3, 0.0, 1.0)
-    cert = bound_sharp(s, sigma, provenance="exact")
+    cert = certify(s, "sharp", NormData(sigma=sigma, provenance="exact"))
     assert err == pytest.approx(cert.bound, rel=1e-9)
