@@ -58,8 +58,6 @@ from .rules import (
     Integrand,
     QuadratureResult,
     apply_rule,
-    correction_sum,
-    perturbation_term,
     preset,
 )
 
@@ -81,8 +79,6 @@ __all__ = [
     "PRESETS",
     "preset",
     "apply_rule",
-    "correction_sum",
-    "perturbation_term",
     # bounds
     "NormData",
     "DerivativeBand",

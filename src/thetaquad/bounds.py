@@ -193,12 +193,13 @@ def reads_rate(kind: str | None, n: int, band: DerivativeBand | None) -> bool:
     return n % 2 == 0 or not (math.isfinite(band.gamma) and math.isfinite(band.Gamma))
 
 
-def _datum(spec: RuleSpec, kind: str, norms: NormData | None) -> float:
+def _datum(spec: RuleSpec, kind: str, norms: NormData | None) -> tuple[float, NormData]:
+    """The NormData field certificate ``kind`` reads, and ``norms`` cut down to it."""
     field = CERTIFICATES[kind]
     value = None if norms is None else getattr(norms, field)
     if value is None:
         raise ValidationError(f"certificate {kind!r} at n={spec.n} needs NormData.{field}")
-    return value
+    return value, NormData(**{field: value}, provenance=norms.provenance)
 
 
 def certify(
@@ -206,7 +207,6 @@ def certify(
     kind: str,
     norms: NormData | None = None,
     band: DerivativeBand | None = None,
-    rate: float | None = None,
 ) -> ErrorCertificate:
     """The certificate named ``kind`` (a key of CERTIFICATES) for ``spec``.
 
@@ -215,11 +215,11 @@ def certify(
     (linf), or sqrt(sigma(K)) times sqrt(d) (sharp, SharpOdd/SharpEven by
     parity).  "band" reads ``band``: with odd n and two finite edges it is
     BandOdd, half the band width times int|K|.  Otherwise it reads the mean
-    rate of f^(n), ``rate`` if given, else ``norms.endpoint_diff_rate`` with
-    its provenance, and takes the tighter valid side of the one-sided bound,
-    |rate - edge| (b - a) times max|K| (OneSidedOdd, odd n) or the centered
-    sup of K (PerturbedEven, even n, bounding the perturbed rule); the lower
-    side wins a tie.  Its half-infinite band records the side.
+    rate of f^(n), ``norms.endpoint_diff_rate`` with its provenance, and
+    takes the tighter valid side of the one-sided bound, |rate - edge|
+    (b - a) times max|K| (OneSidedOdd, odd n) or the centered sup of K
+    (PerturbedEven, even n, bounding the perturbed rule); the lower side
+    wins a tie.  Its half-infinite band records the side.
     """
     if kind not in CERTIFICATES:
         raise ValidationError(
@@ -227,7 +227,7 @@ def certify(
         )
     even = spec.n % 2 == 0
     if kind != "band":
-        d = _datum(spec, kind, norms)
+        d, datum = _datum(spec, kind, norms)
         if kind == "l1":
             theorem, bound = CertificateKind.L1, closed_max_abs(spec) * d
         elif kind == "l2":
@@ -237,7 +237,6 @@ def certify(
         else:
             theorem = CertificateKind.SHARP_EVEN if even else CertificateKind.SHARP_ODD
             bound = math.sqrt(closed_centered_l2_sq(spec)) * math.sqrt(d)
-        datum = NormData(**{CERTIFICATES[kind]: d}, provenance=norms.provenance)
         covers = theorem is CertificateKind.SHARP_EVEN
         return _certificate(theorem, spec, bound, datum, covers_perturbed_rule=covers)
     if band is None:
@@ -249,11 +248,7 @@ def certify(
     if not reads_rate(kind, spec.n, band):
         bound = 0.5 * (band.Gamma - band.gamma) * closed_abs_integral(spec)
         return _certificate(CertificateKind.BAND_ODD, spec, bound, band=band)
-    if rate is None:
-        datum = NormData(endpoint_diff_rate=_datum(spec, kind, norms), provenance=norms.provenance)
-    else:
-        datum = NormData(endpoint_diff_rate=rate)  # rejects a non-finite rate
-    rate = datum.endpoint_diff_rate
+    rate, datum = _datum(spec, kind, norms)
     lower = math.isfinite(band.gamma) and rate >= band.gamma
     upper = math.isfinite(band.Gamma) and band.Gamma >= rate
     if not (lower or upper):

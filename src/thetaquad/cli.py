@@ -57,8 +57,20 @@ def _oracle_tol() -> float:
     return tol
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that reads any float as a value: alone it takes ``-inf`` or
+    ``-1e-3`` for an unknown flag (only ``-12`` and ``-1.5`` for numbers)."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="thetaquad",
         description="Blended midpoint/trapezoid/Simpson quadrature with error certificates.",
     )
@@ -209,12 +221,12 @@ def _certificate_inputs(
     """Norm/band inputs for certify: explicit flags beat exact metadata.
 
     A norm flag the certificate does not read is an error: "band" reads
-    --gamma/--Gamma, and --rate where ``reads_rate`` says so; every other
-    kind reads its CERTIFICATES field, and no certificate (``kind`` None)
-    reads none.
+    --gamma/--Gamma, and --rate (NormData.endpoint_diff_rate) where
+    ``reads_rate`` says so; every other kind reads its CERTIFICATES field,
+    and no certificate (``kind`` None) reads none.
     """
     n, a, b = spec.n, spec.a, spec.b
-    band = None
+    band, field = None, CERTIFICATES.get(kind)
     if kind == "band":
         if args.gamma is not None and args.Gamma is not None:
             band = DerivativeBand(args.gamma, args.Gamma, order=n)
@@ -224,23 +236,25 @@ def _certificate_inputs(
             raise ValidationError("certificate 'band' needs --gamma/--Gamma or --f")
         else:
             band = fn.band(n, a, b)
-        read = ("gamma", "Gamma", "rate") if reads_rate(kind, n, band) else ("gamma", "Gamma")
-    else:
-        read = () if kind is None else (CERTIFICATES[kind],)
+        if not reads_rate(kind, n, band):
+            field = None
+    flag = "rate" if field == "endpoint_diff_rate" else field
+    read = ("gamma", "Gamma", flag) if kind == "band" else (flag,)
     flags = ("l1", "l2", "linf", "gamma", "Gamma", "sigma", "rate")
     unread = [f"--{f}" for f in flags if f not in read and getattr(args, f, None) is not None]
     if unread:
         reader = "without --bound" if kind is None else f"by --bound {kind} at n={n}"
         raise ValidationError(f"{', '.join(unread)} not read {reader}")
-    if kind is None or kind == "band":
+    if field is None:
         return None, band
-    field = CERTIFICATES[kind]
-    flag = getattr(args, field)
-    if flag is not None:
-        return NormData(**{field: flag}, provenance="user-supplied"), None
+    value = getattr(args, flag, None)
+    if value is not None:
+        return NormData(**{field: value}, provenance="user-supplied"), band
     if fn is None:
-        raise ValidationError(f"certificate {kind!r} needs --{field} or --f")
-    return fn.norm_data(n, a, b), None
+        raise ValidationError(f"certificate {kind!r} at n={n} needs --{flag} or --f")
+    if flag == "rate":
+        return NormData(endpoint_diff_rate=fn.endpoint_diff_rate(n, a, b), provenance="exact"), band
+    return fn.norm_data(n, a, b), band
 
 
 def _cmd_integrate(args: argparse.Namespace) -> None:
@@ -285,13 +299,7 @@ def _cmd_bound(args: argparse.Namespace) -> None:
     fn = parse_function(args.f) if args.f is not None else None
     spec = _rule_spec(args)
     kind = args.bound
-    norms, band = _certificate_inputs(args, fn, spec, kind)
-    rate = args.rate
-    if rate is None and reads_rate(kind, spec.n, band):
-        if fn is None:
-            raise ValidationError(f"certificate {kind!r} at n={spec.n} needs --rate or --f")
-        rate = fn.endpoint_diff_rate(spec.n, spec.a, spec.b)
-    cert = certify(spec, kind, norms, band, rate)
+    cert = certify(spec, kind, *_certificate_inputs(args, fn, spec, kind))
 
     inputs = {**_spec_inputs(spec), "bound": kind}
     if args.f is not None:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .bounds import DerivativeBand, NormData
 from .errors import ValidationError, check_int, check_interval
-from .poly import _chain_roots, _derivative_chain, _horner, _integral_on, _square_coeffs
+from .poly import _chain_roots, _derivative_chain, _horner, _integral_on, _poly_mul
 from .rules import Integrand, _mean_rate
 
 __all__ = [
@@ -208,12 +208,7 @@ class Runge(AnalyticFunction):
         poly_b[0] = 1
         poly_b[k + 1] = -2
         poly_b[2 * k + 2] = 1
-        conv = [0] * (len(poly_a) + len(poly_b) - 1)
-        for i, ai in enumerate(poly_a):
-            if ai:
-                for j, bj in enumerate(poly_b):
-                    if bj:
-                        conv[i + j] += ai * bj
+        conv = _poly_mul(poly_a, poly_b)
         center = 2 * k + 1
         t_hi, t_lo = self._t(a), self._t(b)  # t decreases in x
         total = conv[center] * (t_hi - t_lo)
@@ -266,7 +261,7 @@ class PolynomialFunction(AnalyticFunction):
         for i in range(len(shifted)):
             for j in range(len(shifted) - 2, i - 1, -1):
                 shifted[j] += a * shifted[j + 1]
-        return _integral_on(_square_coeffs(tuple(shifted)), 0.0, b - a)
+        return _integral_on(_poly_mul(shifted, shifted), 0.0, b - a)
 
 
 BUILTIN_NAMES = ("exp", "sin", "runge", "poly:c0,c1,...")

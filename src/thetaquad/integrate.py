@@ -7,7 +7,7 @@ import warnings
 from dataclasses import dataclass
 
 from . import bounds
-from .errors import ConvergenceError, ValidationError, check_int
+from .errors import ConvergenceError, ValidationError, check_int, check_interval
 from .kernel import RuleSpec, closed_integral, kernel_stats_brute, kernel_stats_closed
 from .poly import PiecewisePolynomial, _antiderivative_coeffs
 from .rules import Integrand, _mean_rate, _rule_value
@@ -83,7 +83,7 @@ def reference_integral(
     successive refinements differ by less than ``tol * (1 + |result|)``.
     The refinement order is deterministic, so identical inputs give
     bit-identical output.  Hitting MAX_ORACLE_PANELS without meeting the
-    criterion raises ConvergenceError.
+    criterion raises ConvergenceError.  An empty interval gives 0.0.
 
     The nodes and weights are committed, correctly rounded constants, so the
     result does not depend on a linear-algebra library.  It still depends on
@@ -91,12 +91,9 @@ def reference_integral(
     ``math.exp``, ``math.sin`` and the like, and whether those are correctly
     rounded on every platform is not established here.
     """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValidationError("integration bounds must be finite")
-    if b < a:
-        raise ValidationError(f"need a <= b, got a={a!r}, b={b!r}")
-    if b == a:
+    if a == b and math.isfinite(a):
         return 0.0
+    a, b = check_interval(a, b)
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValidationError(f"tol must be positive, got {tol!r}")
 
@@ -117,7 +114,7 @@ def reference_integral(
 
 
 def sigma_functional(
-    f: Integrand, order: int, a: float, b: float, oracle_tol: float = 1e-12
+    f: Integrand, order: int, a: float, b: float, oracle_tol: float = DEFAULT_ORACLE_TOL
 ) -> float:
     """sigma(f^(order)) = ||f^(order)||_2^2 - (1/(b-a)) (int f^(order))^2.
 
@@ -126,8 +123,10 @@ def sigma_functional(
     oracle output is inconsistent and triggers a warning before clamping.
     """
     check_int("order", order, 0)
-    g = Integrand(lambda _k, x: f.eval_derivative(order, x), (a, b), max_order=0)
-    g_sq = Integrand(lambda _k, x: f.eval_derivative(order, x) ** 2, (a, b), max_order=0)
+    a, b = check_interval(a, b)
+    ev = f._on(a, b)
+    g = Integrand(lambda _k, x: ev(order, x), (a, b), max_order=0)
+    g_sq = Integrand(lambda _k, x: ev(order, x) ** 2, (a, b), max_order=0)
     int_g = reference_integral(g, a, b, tol=oracle_tol)
     int_g2 = reference_integral(g_sq, a, b, tol=oracle_tol)
     raw = int_g2 - int_g * int_g / (b - a)
@@ -154,10 +153,10 @@ def _rule_panels(
     ``perturbed`` folds each panel's perturbation term (int K times the mean
     rate of f^(n)) into the value.  With a ``certificate`` name each panel
     gets a budget, and the value includes the perturbation exactly when that
-    certificate covers it.  The certificate and int K are closed forms in
-    (theta, n, width), so each is built once per distinct panel width; a
-    certificate that reads the rate (``bounds.reads_rate``) reads the panel's
-    own and is built per panel.  The rate is evaluated at most once per
+    certificate covers it.  The panel spec, int K and the certificate are
+    closed forms in (theta, n, width), built once per distinct panel width;
+    one that reads the rate (``bounds.reads_rate``) gets the panel's own as
+    NormData and is built per panel.  The rate is evaluated at most once per
     panel, and only when the certificate or the value reads it.  Panel
     values are reduced in ascending order with compensated summation.
     """
@@ -174,14 +173,15 @@ def _rule_panels(
         entry = by_width.get(hi - lo)
         if entry is None:
             pspec = RuleSpec(spec.theta, spec.n, lo, hi)
-            rate = _mean_rate(ev, spec.n, lo, hi) if per_panel else None
-            cert = None if certificate is None else bounds.certify(
-                pspec, certificate, norms, band, rate
-            )
-            entry = (cert, closed_integral(pspec), rate)
-            if not per_panel:
-                by_width[hi - lo] = entry
-        cert, int_k, rate = entry
+            once = certificate is not None and not per_panel
+            cert = bounds.certify(pspec, certificate, norms, band) if once else None
+            entry = by_width[hi - lo] = (pspec, cert, closed_integral(pspec))
+        pspec, cert, int_k = entry
+        rate = None
+        if per_panel:
+            rate = _mean_rate(ev, spec.n, lo, hi)
+            datum = bounds.NormData(endpoint_diff_rate=rate)
+            cert = bounds.certify(pspec, certificate, datum, band)
         if cert is not None:
             budgets.append(cert.bound)
             perturbed = cert.covers_perturbed_rule
@@ -373,11 +373,14 @@ def sharpness_check(spec: RuleSpec, end_to_end: bool = False) -> SharpnessReport
     centered_l2_sq of kernel_stats_closed) must match it.  With
     ``end_to_end`` the rule itself runs on the extremal integrand in exact
     arithmetic, for any n, and its error is reported as well: it equals lhs
-    bit for bit.
+    bit for bit.  An interval so narrow that rhs underflows to 0.0 leaves the
+    ratio undefined and raises ValidationError.
     """
     lhs = kernel_stats_brute(spec).centered_l2_sq
     norms = bounds.NormData(sigma=kernel_stats_closed(spec).centered_l2_sq, provenance="exact")
     rhs = bounds.certify(spec, "sharp", norms).bound
+    if rhs == 0.0:
+        raise ValidationError(f"the sharp bound of {spec} underflows to 0.0; lhs/rhs is undefined")
     return SharpnessReport(
         n=spec.n,
         theta=spec.theta,

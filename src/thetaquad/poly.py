@@ -54,14 +54,16 @@ def _integral_on(coeffs: tuple[float, ...], u0: float, u1: float) -> float:
     return _horner(anti, u1) - _horner(anti, u0)
 
 
-def _square_coeffs(coeffs: tuple[float, ...]) -> tuple[float, ...]:
-    out = [0.0] * (2 * len(coeffs) - 1)
-    for i, ci in enumerate(coeffs):
-        if ci == 0.0:
-            continue
-        for j, cj in enumerate(coeffs):
-            out[i + j] += ci * cj
-    return tuple(out)
+def _poly_mul(p, q) -> list:
+    """Ascending coefficients of p * q, summed from integer 0 over the nonzero
+    factors, so int and Fraction products stay exact."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, pi in enumerate(p):
+        if pi:
+            for j, qj in enumerate(q):
+                if qj:
+                    out[i + j] += pi * qj
+    return out
 
 
 def _crossing(coeffs: tuple[float, ...], left: float, right: float, left_negative: bool) -> float:
@@ -174,6 +176,3 @@ class PiecewisePolynomial:
         x = min(max(x, lo), hi)
         idx = self._segment_index(x)
         return _horner(self.segments[idx], x - self.breakpoints[idx])
-
-    def __call__(self, x: float) -> float:
-        return self.eval(x)

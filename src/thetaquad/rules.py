@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 from .errors import CapabilityError, DomainError, ValidationError, check_int, check_interval
 from .kernel import RuleSpec, closed_integral
@@ -29,8 +29,6 @@ __all__ = [
     "QuadratureResult",
     "PRESETS",
     "preset",
-    "correction_sum",
-    "perturbation_term",
     "apply_rule",
 ]
 
@@ -79,20 +77,6 @@ class Integrand:
         object.__setattr__(self, "_padded", (lo - slack, hi + slack))
         if self.max_order is not None:
             check_int("max_order", self.max_order, 0)
-
-    @classmethod
-    def from_callables(
-        cls, derivatives: Sequence[Callable[[float], float]], domain: tuple[float, float]
-    ) -> Integrand:
-        """Build from per-order closures [f, f', f'', ...]."""
-        if not derivatives:
-            raise ValidationError("need at least the order-0 callable")
-        funcs = tuple(derivatives)
-
-        def derivative_fn(order: int, x: float) -> float:
-            return funcs[order](x)
-
-        return cls(derivative_fn=derivative_fn, domain=domain, max_order=len(funcs) - 1)
 
     def eval_derivative(self, order: int, x: float) -> float:
         check_int("derivative order", order, 0)
@@ -145,60 +129,36 @@ class QuadratureResult:
     spec: RuleSpec = field(repr=False)
 
 
-def correction_sum(f: Integrand, spec: RuleSpec) -> list[float]:
-    """Midpoint-derivative correction terms, one per i = 1 .. floor((n-1)/2).
-
-    Empty for n <= 2.  Term i is
-    (1 - theta (2i+1)) (b-a)^(2i+1) / ((2i+1)! 2^(2i)) * f^(2i)(mid),
-    so theta = 1/3 zeroes the first correction (Simpson) and theta = 1/5
-    the second.
-    """
-    return _corrections(f._on(spec.a, spec.b), spec.theta, spec.n, spec.a, spec.b)
-
-
-def _corrections(f: Callable, theta, n: int, a, b) -> list:
-    """correction_sum's terms in floats or Fractions; f(k, x) is f^(k)(x)."""
-    w, mid = b - a, (a + b) / 2
-    out = []
-    for i in range(1, (n - 1) // 2 + 1):
-        k = 2 * i + 1
-        coeff = (1 - theta * k) * w**k / (math.factorial(k) * 4**i)
-        out.append(coeff * f(2 * i, mid))
-    return out
-
-
 def _mean_rate(f: Callable, n: int, a: float, b: float) -> float:
     """(f^(n-1)(b) - f^(n-1)(a)) / (b - a), the mean of f^(n) on [a, b]."""
     return (f(n - 1, b) - f(n - 1, a)) / (b - a)
 
 
-def perturbation_term(f: Integrand, spec: RuleSpec) -> float:
-    """Endpoint-difference perturbation of the even-order rule.
-
-    For n = 2m it is int K times the mean of f^(n):
-    (b-a)^(2m+1) / ((2m)! 2^(2m)) * (1/(2m+1) - theta)
-        * (f^(2m-1)(b) - f^(2m-1)(a)) / (b - a).
-    """
-    if spec.n % 2 != 0:
-        raise ValidationError("the perturbation term is defined for even n only")
-    return closed_integral(spec) * _mean_rate(f._on(spec.a, spec.b), spec.n, spec.a, spec.b)
-
-
 def _rule_value(f: Callable, theta, n: int, a, b) -> list:
     """[base, *corrections], F_n being their sum; f(k, x) is f^(k)(x).
 
-    Integer literals only, so Fractions stay exact (the sharpness check sums
-    them itself) and floats keep their bits (callers use ``math.fsum``).
+    The corrections are those of the module docstring, so theta = 1/3
+    zeroes the first (Simpson) and theta = 1/5 the second.  Integer literals
+    only, so Fractions stay exact (the sharpness check sums them itself) and
+    floats keep their bits (callers use ``math.fsum``).
     """
-    fm = f(0, (a + b) / 2)
+    w, mid = b - a, (a + b) / 2
+    fm = f(0, mid)
     fa = f(0, a)
     fb = f(0, b)
-    base = (b - a) * ((1 - theta) * fm + theta / 2 * (fa + fb))
-    return [base, *_corrections(f, theta, n, a, b)]
+    terms = [w * ((1 - theta) * fm + theta / 2 * (fa + fb))]
+    for i in range(1, (n - 1) // 2 + 1):
+        k = 2 * i + 1
+        terms.append((1 - theta * k) * w**k / (math.factorial(k) * 4**i) * f(2 * i, mid))
+    return terms
 
 
 def apply_rule(f: Integrand, spec: RuleSpec) -> QuadratureResult:
-    """Evaluate the corrected rule on [spec.a, spec.b]."""
-    terms = _rule_value(f._on(spec.a, spec.b), spec.theta, spec.n, spec.a, spec.b)
-    perturbation = perturbation_term(f, spec) if spec.n % 2 == 0 else None
+    """Evaluate the corrected rule on [spec.a, spec.b]; at even n the
+    perturbation is int K times the mean of f^(n), (f^(n-1)(b) - f^(n-1)(a)) / (b - a)."""
+    ev = f._on(spec.a, spec.b)
+    terms = _rule_value(ev, spec.theta, spec.n, spec.a, spec.b)
+    perturbation = None
+    if spec.n % 2 == 0:
+        perturbation = closed_integral(spec) * _mean_rate(ev, spec.n, spec.a, spec.b)
     return QuadratureResult(terms[0], tuple(terms[1:]), math.fsum(terms), perturbation, spec)

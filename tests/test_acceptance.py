@@ -100,7 +100,8 @@ def test_3_special_constant_regression():
         (certify(spec(third, 4), "linf", NormData(linf=1.0)).bound, 1.0 / 2880.0),
         (
             certify(
-                spec(1.0, 3), "band", band=DerivativeBand(0.0, math.inf, 3), rate=1.0
+                spec(1.0, 3), "band", NormData(endpoint_diff_rate=1.0),
+                DerivativeBand(0.0, math.inf, 3),
             ).bound,
             1.0 / 24.0,
         ),

@@ -36,8 +36,10 @@ def norm_cert(s, kind, datum, provenance="user-supplied"):
 def one_sided(s, side, edge, rate):
     """The "band" certificate from a half-infinite band with its finite edge on ``side``."""
     if side == "lower":
-        return certify(s, "band", band=DerivativeBand(edge, math.inf, s.n), rate=rate)
-    return certify(s, "band", band=DerivativeBand(-math.inf, edge, s.n), rate=rate)
+        band = DerivativeBand(edge, math.inf, s.n)
+    else:
+        band = DerivativeBand(-math.inf, edge, s.n)
+    return certify(s, "band", NormData(endpoint_diff_rate=rate), band)
 
 
 # -------------------------------------------------------------- input types
@@ -269,9 +271,10 @@ def test_one_sided_requires_a_valid_gap():
 def test_parity_and_edges_pick_the_band_theorem():
     two_sided, lower = DerivativeBand(0.0, 1.0, 3), DerivativeBand(0.0, math.inf, 3)
     assert certify(spec(0.5, 3), "band", band=two_sided).theorem == CertificateKind.BAND_ODD
-    odd = certify(spec(0.5, 3), "band", band=lower, rate=0.5)
+    odd = certify(spec(0.5, 3), "band", NormData(endpoint_diff_rate=0.5), lower)
     assert odd.theorem == CertificateKind.ONE_SIDED_ODD and not odd.covers_perturbed_rule
-    even = certify(spec(0.5, 2), "band", band=DerivativeBand(0.0, 1.0, 2), rate=0.5)
+    rate = NormData(endpoint_diff_rate=0.5)
+    even = certify(spec(0.5, 2), "band", rate, DerivativeBand(0.0, 1.0, 2))
     assert even.theorem == CertificateKind.PERTURBED_EVEN and even.covers_perturbed_rule
     with pytest.raises(ValidationError, match="at n=2 needs NormData.endpoint_diff_rate"):
         certify(spec(0.5, 2), "band", band=DerivativeBand(0.0, 1.0, 2))
@@ -283,8 +286,9 @@ def test_band_order_must_match_the_rule_order():
     message = "band is for derivative order 4, rule expects 2"
     with pytest.raises(ValidationError):
         certify(spec(0.5, 3), "band", band=DerivativeBand(0.0, 1.0, 1))
+    band = DerivativeBand(-1.0, 1.0, 4)
     with pytest.raises(ValidationError, match=message):
-        certify(spec(0.5, 2), "band", band=DerivativeBand(-1.0, 1.0, 4), rate=0.0)
+        certify(spec(0.5, 2), "band", NormData(endpoint_diff_rate=0.0), band)
     fn = Exponential()
     with pytest.raises(ValidationError, match=message):
         composite_integrate(
@@ -294,8 +298,9 @@ def test_band_order_must_match_the_rule_order():
 
 def test_band_requires_a_finite_edge():
     for n in (2, 3):
+        band = DerivativeBand(-math.inf, math.inf, n)
         with pytest.raises(ValidationError, match="no valid side"):
-            certify(spec(0.5, n), "band", band=DerivativeBand(-math.inf, math.inf, n), rate=0.0)
+            certify(spec(0.5, n), "band", NormData(endpoint_diff_rate=0.0), band)
 
 
 def test_one_sided_certificate_stores_a_half_infinite_band():
@@ -315,9 +320,6 @@ def test_one_sided_odd_through_certify(n):
         assert cert.bound == abs(rate - edge) * s.width * sup
         assert not cert.covers_perturbed_rule
         assert (cert.norms.endpoint_diff_rate, cert.norms.provenance) == (rate, "user-supplied")
-    band = DerivativeBand(-2.0, math.inf, n)
-    from_norms = certify(s, "band", NormData(endpoint_diff_rate=0.75), band)
-    assert from_norms == one_sided(s, "lower", -2.0, 0.75)
 
 
 @pytest.mark.parametrize("n, band", [(2, DerivativeBand(1.0, 2.0, 2)),
@@ -327,7 +329,7 @@ def test_band_rate_from_norms_keeps_its_provenance(n, band):
     for provenance, rigor in (("sampled-heuristic", "heuristic-inputs"), ("exact", "rigorous")):
         cert = certify(s, "band", NormData(endpoint_diff_rate=1.5, provenance=provenance), band)
         assert (cert.norms.provenance, cert.rigor) == (provenance, rigor)
-    passed = certify(s, "band", band=band, rate=1.5)  # a rate argument is user-supplied
+    passed = certify(s, "band", NormData(endpoint_diff_rate=1.5), band)  # the default
     assert (passed.norms.provenance, passed.rigor) == ("user-supplied", "rigorous")
 
 
@@ -342,9 +344,10 @@ def test_reads_rate_is_false_only_for_two_sided_odd_bands():
 
 def test_tied_sides_pick_the_lower_edge():
     s = spec(0.5, 2)
-    tie = certify(s, "band", band=DerivativeBand(0.0, 2.0, 2), rate=1.0)
+    rate = NormData(endpoint_diff_rate=1.0)
+    tie = certify(s, "band", rate, DerivativeBand(0.0, 2.0, 2))
     assert (tie.band.gamma, tie.band.Gamma) == (0.0, math.inf)
-    closer_above = certify(s, "band", band=DerivativeBand(0.0, 1.5, 2), rate=1.0)
+    closer_above = certify(s, "band", rate, DerivativeBand(0.0, 1.5, 2))
     assert (closer_above.band.gamma, closer_above.band.Gamma) == (-math.inf, 1.5)
     assert closer_above.bound == tie.bound / 2
 

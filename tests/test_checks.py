@@ -15,6 +15,7 @@ from thetaquad import (
     RuleSpec,
     ValidationError,
     composite_integrate,
+    reference_integral,
     sigma_functional,
 )
 
@@ -54,12 +55,18 @@ def test_int_arguments_reject_bool_float_and_below_minimum(name, call, minimum, 
     "a,b", [(1.0, 0.0), (0.5, 0.5), (math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0)]
 )
 def test_intervals_share_one_check(a, b):
-    for make in (
+    makers = [
         lambda: RuleSpec(theta=0.5, n=2, a=a, b=b),
         lambda: Integrand(F.derivative_fn, (a, b)),
         lambda: EXP.integrand(a, b),
         lambda: EXP.norm_data(2, a, b),
         lambda: POLY.band(2, a, b),
-    ):
+        lambda: sigma_functional(F, 2, a, b),
+    ]
+    if a == b:  # the oracle's one exception: an empty interval integrates to 0.0
+        assert reference_integral(F, a, b) == 0.0
+    else:
+        makers.append(lambda: reference_integral(F, a, b))
+    for make in makers:
         with pytest.raises(ValidationError, match="need finite a < b"):
             make()

@@ -392,6 +392,35 @@ def test_sharpness_end_to_end_equals_lhs_at_every_order(capsys, n):
     assert record["results"]["end_to_end_error"] == record["results"]["lhs"]
 
 
+# ---------------------------------------------------------------- negative values
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["bound", "--bound", "band", "--n", "3", "--theta", "0.5", "--a", "0", "--b", "1",
+          "--gamma", "-inf", "--Gamma", "2", "--rate", "1"], "--gamma"),
+        (["kernel", "--n", "2", "--theta", "0.5", "--a", "-1e-3", "--b", "1"], "--a"),
+        (["kernel", "--n", "2", "--theta", "0.5", "--a", "-1E5", "--b", "1"], "--a"),
+        (["integrate", "--f", "exp", "--n", "2", "--theta", "0.5", "--a", "-1e-3",
+          "--b", "1"], "--a"),
+        (["bound", "--f", "exp", "--bound", "l1", "--n", "3", "--theta", "0.5", "--b", "1",
+          "--a", "-1E-1"], "--a"),
+        (["sweep", "--f", "sin", "--n", "2", "--a", "-1e-3", "--b", "1",
+          "--theta-grid", "0:0.5:1"], "--a"),
+        (["sharpness", "--n", "2", "--theta", "0.5", "--a", "-1e-3", "--b", "1"], "--a"),
+    ],
+)
+def test_negative_values_in_every_form_parse_as_values(capsys, argv, flag):
+    """argparse alone reads only -12 and -1.5 as numbers; -inf, -1e-3 and
+    -1E5 are values too, with the bytes of the --flag=value form."""
+    i = argv.index(flag)
+    joined = argv[:i] + [f"{flag}={argv[i + 1]}"] + argv[i + 2:]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert run(capsys, *joined) == (0, out, "")
+
+
 # ---------------------------------------------------------------- failures
 
 
@@ -444,6 +473,14 @@ def test_sharpness_end_to_end_equals_lhs_at_every_order(capsys, n):
          "--b", "1", "--bound", "l1", "--linf", "3"],  # l1 reads no --linf
         ["integrate", "--f", "exp", "--n", "2", "--theta", "0.5", "--a", "0",
          "--b", "1", "--linf", "3"],  # no certificate reads no norm flag
+        ["sharpness", "--n", "2", "--theta", "0.5", "--a", "0",
+         "--b", "1e-100"],  # the sharp bound underflows to 0.0
+        ["sharpness", "--n", "1", "--theta", "0.5", "--a", "0", "--b", "1e-200"],
+        ["sharpness", "--n", "3", "--theta", "0.5", "--a", "0", "--b", "1e-320"],
+        ["kernel", "--n", "2", "--theta", "0.5", "--a", "0", "--b", "1",
+         "--bogus", "-inf"],  # an unknown flag, even before a negative value
+        ["kernel", "--n", "2", "--theta", "0.5", "--a", "0", "--b", "1",
+         "-1e-3"],  # a stray negative value
     ],
 )
 def test_validation_failures_exit_2(capsys, argv):

@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -220,11 +221,10 @@ def test_band_certificate_covers_perturbed_value_for_even_orders():
     for n in range(1, 7):
         s = spec(0.25, n)
         norms, band = fn.norm_data(n, 0.0, 1.0), fn.band(n, 0.0, 1.0)
-        rate = fn.endpoint_diff_rate(n, 0.0, 1.0)
         plain_rule = apply_rule(f, s)
         for kind in CERTIFICATES:
             res = composite_integrate(f, s, panels=1, certificate=kind, norms=norms, band=band)
-            covers = certify(s, kind, norms, band, rate).covers_perturbed_rule
+            covers = certify(s, kind, norms, band).covers_perturbed_rule
             assert res.covers_perturbed_rule is covers, (kind, n)
             expected = plain_rule.f_n_value
             if covers:
@@ -292,7 +292,7 @@ def test_one_certificate_per_width_equals_the_per_panel_definition(monkeypatch, 
             for kind, kind_band in cases:
                 case = (kind, kind_band, n, theta)
                 try:
-                    certs = [original(p, kind, norms, kind_band, r)
+                    certs = [original(p, kind, replace(norms, endpoint_diff_rate=r), kind_band)
                              for p, r in zip(pspecs, rates)]
                 except ValidationError as exc:
                     # Only where f^(n) is constant: a panel's rounded rate
@@ -442,6 +442,14 @@ def test_sharpness_end_to_end_reconstruction(theta, n):
     # the exact rule error of the extremal integrand is sigma(K) itself
     assert report.end_to_end_error == report.lhs
     assert report.end_to_end_error == pytest.approx(report.rhs, rel=1e-10)
+
+
+@pytest.mark.parametrize("n, b", [(2, 1e-100), (1, 1e-200), (3, 1e-320)])
+def test_sharpness_on_an_underflowing_interval_is_rejected(n, b):
+    """rhs underflows to 0.0, so lhs / rhs is undefined: a ValidationError
+    that names the underflow, not a ZeroDivisionError."""
+    with pytest.raises(ValidationError, match="underflows to 0.0"):
+        sharpness_check(spec(0.5, n, a=0.0, b=b))
 
 
 @pytest.mark.parametrize("n", range(1, 31))

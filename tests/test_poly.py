@@ -1,11 +1,12 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from thetaquad import DomainError, PiecewisePolynomial, ValidationError
-from thetaquad.poly import real_roots
+from thetaquad.poly import _poly_mul, real_roots
 
 coeff = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 coeff_lists = st.lists(coeff, min_size=1, max_size=6)
@@ -18,15 +19,15 @@ def single(coeffs, lo=0.0, hi=1.0):
 def test_eval_uses_local_coordinates():
     # coefficients are in powers of (x - left breakpoint of the segment)
     p = PiecewisePolynomial((1.0, 2.0), ((0.0, 1.0),))
-    assert p(1.5) == 0.5
-    assert p(1.0) == 0.0
+    assert p.eval(1.5) == 0.5
+    assert p.eval(1.0) == 0.0
 
 
 def test_interior_breakpoint_belongs_to_right_segment():
     p = PiecewisePolynomial((0.0, 1.0, 2.0), ((5.0,), (7.0,)))
-    assert p(1.0) == 7.0
-    assert p(2.0) == 7.0  # right endpoint belongs to the last segment
-    assert p(0.0) == 5.0
+    assert p.eval(1.0) == 7.0
+    assert p.eval(2.0) == 7.0  # right endpoint belongs to the last segment
+    assert p.eval(0.0) == 5.0
 
 
 @pytest.mark.parametrize(
@@ -59,7 +60,14 @@ def test_eval_outside_domain_raises():
 def test_horner_matches_naive_powers(coeffs, x):
     p = single(coeffs)
     naive = math.fsum(c * x**k for k, c in enumerate(coeffs))
-    assert p(x) == pytest.approx(naive, rel=1e-12, abs=1e-12)
+    assert p.eval(x) == pytest.approx(naive, rel=1e-12, abs=1e-12)
+
+
+def test_poly_mul_keeps_int_and_fraction_products_exact():
+    # 3**40 is above 2**53: a sum started from 0.0 would round it
+    assert _poly_mul([3**40, -(2**60)], [1, 0, 1]) == [3**40, -(2**60), 3**40, -(2**60)]
+    third = [Fraction(1, 3), Fraction(2, 3)]
+    assert _poly_mul(third, third) == [Fraction(1, 9), Fraction(4, 9), Fraction(4, 9)]
 
 
 # ---------------------------------------------------------------- real_roots

@@ -15,8 +15,6 @@ from thetaquad import (
     RuleSpec,
     ValidationError,
     apply_rule,
-    correction_sum,
-    perturbation_term,
     preset,
 )
 from thetaquad.rules import _rule_value
@@ -70,8 +68,6 @@ def test_rule_on_an_interval_outside_the_domain_is_rejected(a, b, x, n):
     outside = rf"^x={re.escape(repr(x))} outside integrand domain \[0\.0, 1\.0\]$"
     with pytest.raises(DomainError, match=outside):
         apply_rule(f, spec(0.5, n, a, b))
-    with pytest.raises(DomainError, match=outside):  # also where no term reads f
-        correction_sum(f, spec(0.5, n, a, b))
 
 
 def test_integrand_order_cap_is_enforced():
@@ -84,9 +80,8 @@ def test_integrand_order_cap_is_enforced():
 
 
 def test_integrand_from_callables():
-    f = Integrand.from_callables(
-        [lambda x: x * x, lambda x: 2.0 * x, lambda x: 2.0], (0.0, 1.0)
-    )
+    fs = [lambda x: x * x, lambda x: 2.0 * x, lambda x: 2.0]
+    f = Integrand(lambda k, x: fs[k](x), (0.0, 1.0), max_order=len(fs) - 1)
     assert f.eval_derivative(1, 0.25) == 0.5
     assert f.max_order == 2
     with pytest.raises(CapabilityError):
@@ -128,7 +123,7 @@ def test_cubic_with_trapezoid_correction_frozen():
 def test_correction_count_grows_with_order():
     f = PolynomialFunction((0.0,) * 8 + (1.0,)).integrand(0.0, 1.0)
     for n in range(1, 9):
-        terms = correction_sum(f, spec(0.9, n))
+        terms = apply_rule(f, spec(0.9, n)).correction_terms
         assert len(terms) == (n - 1) // 2
 
 
@@ -178,13 +173,8 @@ def test_degree_n_exact_when_n_is_even_after_perturbation(theta, m):
     [(0.0, 1.0 / 12.0), (1.0 / 3.0, 0.0), (1.0, -1.0 / 6.0)],
 )
 def test_perturbation_for_x_squared_frozen(theta, expected):
-    value = perturbation_term(monomial(2), spec(theta, 2))
+    value = apply_rule(monomial(2), spec(theta, 2)).perturbation_term
     assert value == pytest.approx(expected, abs=1e-15)
-
-
-def test_perturbation_rejected_for_odd_orders():
-    with pytest.raises(ValidationError):
-        perturbation_term(monomial(3), spec(0.5, 3))
 
 
 def test_apply_rule_keeps_perturbation_out_of_the_plain_value():
@@ -200,7 +190,7 @@ def test_perturbation_vanishes_when_endpoint_slopes_agree(theta):
     f = PolynomialFunction((7.0 / 8.0, 3.0 / 4.0, -3.0 / 2.0, 1.0)).integrand(
         0.0, 1.0
     )
-    assert perturbation_term(f, spec(theta, 2)) == pytest.approx(0.0, abs=1e-15)
+    assert apply_rule(f, spec(theta, 2)).perturbation_term == pytest.approx(0.0, abs=1e-15)
 
 
 # ---------------------------------------------------------------- result shape
