@@ -48,7 +48,6 @@ from .integrate import (
 from .kernel import (
     KernelStats,
     RuleSpec,
-    kernel_centered_max_closed,
     kernel_stats_brute,
     kernel_stats_closed,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "RuleSpec",
     "KernelStats",
     "kernel_stats_closed",
-    "kernel_centered_max_closed",
     "kernel_stats_brute",
     # rules
     "Integrand",
@@ -86,11 +84,11 @@ __all__ = [
     "ErrorCertificate",
     "CERTIFICATES",
     "certify",
-    "sigma_functional",
     # integrate
     "CompositeResult",
     "SharpnessReport",
     "reference_integral",
+    "sigma_functional",
     "true_error",
     "composite_integrate",
     "sharpness_check",

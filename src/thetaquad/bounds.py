@@ -1,6 +1,7 @@
 """A-priori error certificates for the blended rules.
 
-Every bound here is a closed form in (theta, n, b - a) times a norm or band
+Every bound here is one field of ``spec.stats``, the spec's ``KernelStats``
+from the one closed form ``kernel.kernel_stats_closed``, times a norm or band
 datum about f^(n) that the caller supplies; certificates never measure the
 integrand themselves.  The provenance of the supplied data flows into the
 certificate's rigor flag, so sampled guesses cannot masquerade as proof.
@@ -36,14 +37,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ValidationError, check_int
-from .kernel import (
-    RuleSpec,
-    closed_abs_integral,
-    closed_centered_l2_sq,
-    closed_l2_sq,
-    closed_max_abs,
-    kernel_centered_max_closed,
-)
+from .kernel import RuleSpec
 
 __all__ = [
     "PROVENANCES",
@@ -229,14 +223,14 @@ def certify(
     if kind != "band":
         d, datum = _datum(spec, kind, norms)
         if kind == "l1":
-            theorem, bound = CertificateKind.L1, closed_max_abs(spec) * d
+            theorem, bound = CertificateKind.L1, spec.stats.max_abs * d
         elif kind == "l2":
-            theorem, bound = CertificateKind.L2, math.sqrt(closed_l2_sq(spec)) * d
+            theorem, bound = CertificateKind.L2, math.sqrt(spec.stats.l2_sq) * d
         elif kind == "linf":
-            theorem, bound = CertificateKind.LINF, closed_abs_integral(spec) * d
+            theorem, bound = CertificateKind.LINF, spec.stats.abs_integral * d
         else:
             theorem = CertificateKind.SHARP_EVEN if even else CertificateKind.SHARP_ODD
-            bound = math.sqrt(closed_centered_l2_sq(spec)) * math.sqrt(d)
+            bound = math.sqrt(spec.stats.centered_l2_sq) * math.sqrt(d)
         covers = theorem is CertificateKind.SHARP_EVEN
         return _certificate(theorem, spec, bound, datum, covers_perturbed_rule=covers)
     if band is None:
@@ -246,7 +240,7 @@ def certify(
             f"band is for derivative order {band.order}, rule expects {spec.n}"
         )
     if not reads_rate(kind, spec.n, band):
-        bound = 0.5 * (band.Gamma - band.gamma) * closed_abs_integral(spec)
+        bound = 0.5 * (band.Gamma - band.gamma) * spec.stats.abs_integral
         return _certificate(CertificateKind.BAND_ODD, spec, bound, band=band)
     rate, datum = _datum(spec, kind, norms)
     lower = math.isfinite(band.gamma) and rate >= band.gamma
@@ -256,7 +250,7 @@ def certify(
             f"no valid side for the band certificate: no finite band edge bounds the "
             f"rate {rate!r}"
         )
-    sup = kernel_centered_max_closed(spec) if even else closed_max_abs(spec)
+    sup = spec.stats.centered_max_abs if even else spec.stats.max_abs
     low = abs(rate - band.gamma) * spec.width * sup if lower else None
     high = abs(rate - band.Gamma) * spec.width * sup if upper else None
     if high is None or (low is not None and low <= high):

@@ -25,7 +25,9 @@ from dataclasses import dataclass, field
 
 from .bounds import DerivativeBand, NormData
 from .errors import ValidationError, check_int, check_interval
-from .poly import _chain_roots, _derivative_chain, _horner, _integral_on, _poly_mul
+from .poly import (
+    _chain_roots, _derivative_chain, _horner, _integral_on, _poly_mul, _taylor_shift,
+)
 from .rules import Integrand, _mean_rate
 
 __all__ = [
@@ -62,6 +64,10 @@ class AnalyticFunction:
     def _l2_sq(self, order: int, a: float, b: float) -> float:
         raise NotImplementedError
 
+    def _primitive(self, order: int, a: float):
+        """f^(order-1) up to a constant on [a, ...]; l1 sums its differences."""
+        return lambda x: self.derivative(order - 1, x)
+
     # -- generic assembly --------------------------------------------------
 
     def integrand(self, a: float, b: float) -> Integrand:
@@ -90,9 +96,9 @@ class AnalyticFunction:
         linf = max(abs(band.gamma), abs(band.Gamma))
 
         cuts = sorted({a, b, *zeros})
+        primitive = self._primitive(order, a)
         l1 = math.fsum(
-            abs(self.derivative(order - 1, right) - self.derivative(order - 1, left))
-            for left, right in zip(cuts, cuts[1:])
+            abs(primitive(right) - primitive(left)) for left, right in zip(cuts, cuts[1:])
         )
         l2_sq = self._l2_sq(order, a, b)
         rate = self.endpoint_diff_rate(order, a, b)
@@ -257,11 +263,15 @@ class PolynomialFunction(AnalyticFunction):
     def _l2_sq(self, order: int, a: float, b: float) -> float:
         # Taylor-shift to the left endpoint, so the integral runs over [0, b - a]
         # and does not cancel between two large antiderivative values.
-        shifted = list(self._coeffs_of_order(order))
-        for i in range(len(shifted)):
-            for j in range(len(shifted) - 2, i - 1, -1):
-                shifted[j] += a * shifted[j + 1]
+        shifted = _taylor_shift(self._coeffs_of_order(order), a)
         return _integral_on(_poly_mul(shifted, shifted), 0.0, b - a)
+
+    def _primitive(self, order: int, a: float):
+        # f^(order-1) Taylor-shifted to a, less its value there, so the l1
+        # differences do not cancel between two large values far from 0.
+        shifted = _taylor_shift(self._coeffs_of_order(order - 1), a)
+        shifted[0] = 0.0
+        return lambda x: _horner(shifted, x - a)
 
 
 BUILTIN_NAMES = ("exp", "sin", "runge", "poly:c0,c1,...")

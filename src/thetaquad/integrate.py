@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 from . import bounds
 from .errors import ConvergenceError, ValidationError, check_int, check_interval
-from .kernel import RuleSpec, closed_integral, kernel_stats_brute, kernel_stats_closed
+from .kernel import RuleSpec, kernel_stats_brute
 from .poly import PiecewisePolynomial, _antiderivative_coeffs
 from .rules import Integrand, _mean_rate, _rule_value
 
@@ -125,8 +126,9 @@ def sigma_functional(
     check_int("order", order, 0)
     a, b = check_interval(a, b)
     ev = f._on(a, b)
-    g = Integrand(lambda _k, x: ev(order, x), (a, b), max_order=0)
-    g_sq = Integrand(lambda _k, x: ev(order, x) ** 2, (a, b), max_order=0)
+    node = functools.cache(lambda x: ev(order, x))  # one evaluation per node for both
+    g = Integrand(lambda _k, x: node(x), (a, b), max_order=0)
+    g_sq = Integrand(lambda _k, x: node(x) ** 2, (a, b), max_order=0)
     int_g = reference_integral(g, a, b, tol=oracle_tol)
     int_g2 = reference_integral(g_sq, a, b, tol=oracle_tol)
     raw = int_g2 - int_g * int_g / (b - a)
@@ -153,10 +155,12 @@ def _rule_panels(
     ``perturbed`` folds each panel's perturbation term (int K times the mean
     rate of f^(n)) into the value.  With a ``certificate`` name each panel
     gets a budget, and the value includes the perturbation exactly when that
-    certificate covers it.  The panel spec, int K and the certificate are
-    closed forms in (theta, n, width), built once per distinct panel width;
-    one that reads the rate (``bounds.reads_rate``) gets the panel's own as
-    NormData and is built per panel.  The rate is evaluated at most once per
+    certificate covers it.  The panel spec, whose ``stats`` hold int K and
+    every kernel constant of the certificate, and the certificate itself are
+    built once per distinct panel width; a certificate that reads the rate
+    (``bounds.reads_rate``) gets the panel's own as NormData and is built per
+    panel from the width's spec.  Without a certificate or ``perturbed`` no
+    kernel statistic is read.  The rate is evaluated at most once per
     panel, and only when the certificate or the value reads it.  Panel
     values are reduced in ascending order with compensated summation.
     """
@@ -175,8 +179,8 @@ def _rule_panels(
             pspec = RuleSpec(spec.theta, spec.n, lo, hi)
             once = certificate is not None and not per_panel
             cert = bounds.certify(pspec, certificate, norms, band) if once else None
-            entry = by_width[hi - lo] = (pspec, cert, closed_integral(pspec))
-        pspec, cert, int_k = entry
+            entry = by_width[hi - lo] = (pspec, cert)
+        pspec, cert = entry
         rate = None
         if per_panel:
             rate = _mean_rate(ev, spec.n, lo, hi)
@@ -187,6 +191,7 @@ def _rule_panels(
             perturbed = cert.covers_perturbed_rule
         value = math.fsum(_rule_value(ev, spec.theta, spec.n, lo, hi))
         if perturbed:
+            int_k = pspec.stats.integral
             value += int_k * (_mean_rate(ev, spec.n, lo, hi) if rate is None else rate)
         values.append(value)
     return math.fsum(values), budgets, perturbed
@@ -377,7 +382,7 @@ def sharpness_check(spec: RuleSpec, end_to_end: bool = False) -> SharpnessReport
     ratio undefined and raises ValidationError.
     """
     lhs = kernel_stats_brute(spec).centered_l2_sq
-    norms = bounds.NormData(sigma=kernel_stats_closed(spec).centered_l2_sq, provenance="exact")
+    norms = bounds.NormData(sigma=spec.stats.centered_l2_sq, provenance="exact")
     rhs = bounds.certify(spec, "sharp", norms).bound
     if rhs == 0.0:
         raise ValidationError(f"the sharp bound of {spec} underflows to 0.0; lhs/rhs is undefined")

@@ -12,17 +12,25 @@ f^(n) against the kernel
 with mid = (a + b)/2.  Everything a certificate needs about K — its integral,
 the integral of |K|, its sup norm, the integral of K^2, the centred integral
 sigma(K) = int K^2 - (int K)^2/(b - a) and (for even n) the sup norm of K
-minus its mean — has a closed form, implemented here next to an exact
-evaluation in rational arithmetic from the definition above, so the two can
-be checked against each other.  Each certificate in ``bounds`` is one of these
-closed forms times a norm datum; K itself is the n-th derivative of
-``integrate.extremal_integrand``.
+minus its mean — comes from one closed form, ``kernel_stats_closed``, which
+``RuleSpec.stats`` calls at most once per spec.  ``kernel_stats_brute``
+evaluates the same six exactly in rational arithmetic from the definition
+above, so the two can be checked against each other.  Each certificate in
+``bounds`` is one ``KernelStats`` field times a norm datum; K itself is the
+n-th derivative of ``integrate.extremal_integrand``.
+
+The closed form raises OverflowError where (n!)^2 or (b - a)^(2n+1)
+overflows a float: at every n >= 99, and at lower n on intervals so wide that
+(b - a)^(2n+1) exceeds 1.8e308.  Everything that reads it raises there too.
+Inside that range, from n = 85 on, the denominator of int K^2 overflows to
+inf without raising, so l2_sq and centered_l2_sq read 0.0 there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ValidationError, check_int, check_interval
 
@@ -30,7 +38,6 @@ __all__ = [
     "RuleSpec",
     "KernelStats",
     "kernel_stats_closed",
-    "kernel_centered_max_closed",
     "kernel_stats_brute",
 ]
 
@@ -72,6 +79,11 @@ class RuleSpec:
     def midpoint(self) -> float:
         return 0.5 * (self.a + self.b)
 
+    @cached_property
+    def stats(self) -> KernelStats:
+        """kernel_stats_closed of this spec, computed on first read and kept."""
+        return kernel_stats_closed(self)
+
 
 @dataclass(frozen=True)
 class KernelStats:
@@ -91,117 +103,53 @@ class KernelStats:
     centered_l2_sq: float
 
 
-def _factorial(n: int) -> float:
-    return float(math.factorial(n))
-
-
-# -- dimensionless branch factors -----------------------------------------
-#
-# Each closed form is a power of (b - a) over n! 2^n times a dimensionless
-# factor in (n, theta).  The bounds module multiplies the closed forms below
-# by a norm datum, so a certificate and the kernel statistic it rests on come
-# from one formula.
-
-
-def max_factor(n: int, theta: float) -> float:
-    """Factor of the kernel sup norm over (b-a)^n / (n! 2^n).
-
-    Four branches: a dedicated n=1 case (which also dodges 0**0), then
-    theta*n > theta + 1, 1 <= theta*n <= theta + 1, and theta*n < 1.
-    """
-    if n == 1:
-        return max(1.0 - theta, theta)
-    tn = theta * n
-    peak = theta**n * float(n - 1) ** (n - 1)
-    if tn > theta + 1.0:
-        return tn - 1.0
-    if tn >= 1.0:
-        return peak
-    return max(1.0 - tn, peak)
-
-
-def centered_factor(n: int, theta: float) -> float:
-    """Centered sup-norm factor over (b-a)^(2m) / ((2m)! 2^(2m)), n = 2m."""
-    m = n // 2
-    d1 = theta - 1.0 / (2 * m + 1)
-    d2 = theta * (2 * m - 1) - 2.0 * m / (2 * m + 1)
-    if theta * (2 * m - 1) >= 1.0:
-        return max(d1, d2)
-    d3 = d1 - theta ** (2 * m) * float(2 * m - 1) ** (2 * m - 1)
-    return max(abs(d1), abs(d2), abs(d3))
-
-
-# -- closed forms ----------------------------------------------------------
-
-
-def closed_integral(spec: RuleSpec) -> float:
-    """Integral of K: zero for odd n, signed and theta-dependent for even n."""
-    n, theta = spec.n, spec.theta
-    if n % 2 == 1:
-        return 0.0
-    return spec.width ** (n + 1) / (_factorial(n) * 2.0**n) * (1.0 / (n + 1) - theta)
-
-
-def closed_abs_integral(spec: RuleSpec) -> float:
-    """Integral of |K|, branching at theta*n = 1."""
-    n, theta = spec.n, spec.theta
-    w = spec.width
-    if theta * n >= 1.0:
-        return w ** (n + 1) / (_factorial(n) * 2.0**n) * (theta - 1.0 / (n + 1))
-    tn = theta * n
-    return (
-        w ** (n + 1)
-        / (n * _factorial(n + 1) * 2.0**n)
-        * (2.0 * tn ** (n + 1) - tn * (n + 1) + n)
-    )
-
-
-def closed_max_abs(spec: RuleSpec) -> float:
-    """Sup norm of K."""
-    n = spec.n
-    return spec.width**n / (_factorial(n) * 2.0**n) * max_factor(n, spec.theta)
-
-
-def _l2_sq(spec: RuleSpec, centered: bool) -> float:
-    """Integral of K^2, less (int K)^2/(b - a) when ``centered`` and n is even."""
-    n, theta = spec.n, spec.theta
-    bracket = theta * theta * n * n * (2 * n + 1) - theta * (4 * n * n - 1) + (2 * n - 1)
-    if centered and n % 2 == 0:
-        # (int K)^2/(b - a) over the same denominator; clamped against roundoff
-        bracket = max(bracket - (4 * n * n - 1) * (1.0 / (n + 1) - theta) ** 2, 0.0)
-    denom = (2 * n + 1) * (2 * n - 1) * _factorial(n) ** 2 * 2.0 ** (2 * n)
-    return bracket * spec.width ** (2 * n + 1) / denom
-
-
-def closed_l2_sq(spec: RuleSpec) -> float:
-    """Integral of K^2."""
-    return _l2_sq(spec, centered=False)
-
-
-def closed_centered_l2_sq(spec: RuleSpec) -> float:
-    """sigma(K) = int K^2 - (int K)^2/(b - a); equals closed_l2_sq for odd n."""
-    return _l2_sq(spec, centered=True)
-
-
-def kernel_centered_max_closed(spec: RuleSpec) -> float:
-    """Sup norm of K minus its mean; defined for even n only."""
-    n = spec.n
-    if n % 2 != 0:
-        raise ValidationError("centered kernel max is defined for even n only")
-    return spec.width**n / (_factorial(n) * 2.0**n) * centered_factor(n, spec.theta)
-
-
 def kernel_stats_closed(spec: RuleSpec) -> KernelStats:
-    """All closed-form statistics of the kernel in one bundle."""
-    centered = kernel_centered_max_closed(spec) if spec.n % 2 == 0 else None
-    return KernelStats(
-        integral=closed_integral(spec),
-        abs_integral=closed_abs_integral(spec),
-        max_abs=closed_max_abs(spec),
-        l2_sq=closed_l2_sq(spec),
-        centered_max_abs=centered,
-        centered_l2_sq=closed_centered_l2_sq(spec),
-    )
+    """All six closed-form statistics of the kernel, the only float path to them.
+
+    Each is a power of (b - a) over n! 2^n (squared for the l2 pair) times a
+    dimensionless factor of (n, theta).  The bounds, the rules and the panel
+    loop read them through ``RuleSpec.stats``, which calls this once per
+    spec.  All six are computed together, so where one overflows the call
+    raises OverflowError (module docstring).
+    """
+    n, theta, w = spec.n, spec.theta, spec.width
+    fact = float(math.factorial(n))
+    scale = fact * 2.0**n
+    w_n1, w_2n1 = w ** (n + 1), w ** (2 * n + 1)
+    height = w**n / scale  # sup|K| and the centred sup are this times a factor
+    volume = w_n1 / scale  # at even n, int K = volume * (1/(n+1) - theta)
+    tn = theta * n
+    if tn >= 1.0:
+        abs_integral = volume * (theta - 1.0 / (n + 1))
+    else:
+        lobe = n * float(math.factorial(n + 1)) * 2.0**n
+        abs_integral = w_n1 / lobe * (2.0 * tn ** (n + 1) - tn * (n + 1) + n)
+    # sup|K|: a dedicated n = 1 branch (which also dodges 0**0), then
+    # theta n > theta + 1, 1 <= theta n <= theta + 1 and theta n < 1
+    peak = theta**n * float(n - 1) ** (n - 1) if n > 1 else 0.0
+    if n == 1:
+        sup = max(1.0 - theta, theta)
+    elif tn > theta + 1.0:
+        sup = tn - 1.0
+    else:
+        sup = peak if tn >= 1.0 else max(1.0 - tn, peak)
+    # int K^2 over one denominator; sigma(K) takes (int K)^2/(b - a) off its
+    # bracket, clamped against roundoff; at odd n int K = 0 and the two agree
+    bracket = theta * theta * n * n * (2 * n + 1) - theta * (4 * n * n - 1) + (2 * n - 1)
+    denom = (2 * n + 1) * (2 * n - 1) * fact**2 * 2.0 ** (2 * n)
+    l2_sq = centered_l2_sq = bracket * w_2n1 / denom
+    integral, centered = 0.0, None
+    if n % 2 == 0:
+        integral = volume * (1.0 / (n + 1) - theta)
+        bracket = max(bracket - (4 * n * n - 1) * (1.0 / (n + 1) - theta) ** 2, 0.0)
+        centered_l2_sq = bracket * w_2n1 / denom
+        d1 = theta - 1.0 / (n + 1)
+        d2 = theta * (n - 1) - n / (n + 1)
+        if theta * (n - 1) >= 1.0:
+            centered = height * max(d1, d2)
+        else:
+            centered = height * max(abs(d1), abs(d2), abs(d1 - peak))
+    return KernelStats(integral, abs_integral, height * sup, l2_sq, centered, centered_l2_sq)
 
 
 def kernel_stats_brute(spec: RuleSpec) -> KernelStats:

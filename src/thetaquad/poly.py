@@ -48,6 +48,15 @@ def _antiderivative_coeffs(coeffs, constant):
     return [constant] + [c / (k + 1) if c else c for k, c in enumerate(coeffs)]
 
 
+def _taylor_shift(coeffs, a: float) -> list[float]:
+    """Ascending coefficients of p(u + a) in u, where ``coeffs`` are p's."""
+    shifted = list(coeffs)
+    for i in range(len(shifted)):
+        for j in range(len(shifted) - 2, i - 1, -1):
+            shifted[j] += a * shifted[j + 1]
+    return shifted
+
+
 def _integral_on(coeffs: tuple[float, ...], u0: float, u1: float) -> float:
     """Integral of the local polynomial over local coordinates [u0, u1]."""
     anti = _antiderivative_coeffs(coeffs, 0.0)

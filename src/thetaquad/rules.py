@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import CapabilityError, DomainError, ValidationError, check_int, check_interval
-from .kernel import RuleSpec, closed_integral
+from .kernel import RuleSpec
 from .poly import domain_slack
 
 __all__ = [
@@ -160,5 +160,5 @@ def apply_rule(f: Integrand, spec: RuleSpec) -> QuadratureResult:
     terms = _rule_value(ev, spec.theta, spec.n, spec.a, spec.b)
     perturbation = None
     if spec.n % 2 == 0:
-        perturbation = closed_integral(spec) * _mean_rate(ev, spec.n, spec.a, spec.b)
+        perturbation = spec.stats.integral * _mean_rate(ev, spec.n, spec.a, spec.b)
     return QuadratureResult(terms[0], tuple(terms[1:]), math.fsum(terms), perturbation, spec)

@@ -489,6 +489,36 @@ def test_validation_failures_exit_2(capsys, argv):
     assert err  # a reason lands on stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--bound", "l1", "--n", "99", "--theta", "0.5", "--a", "0", "--b", "1",
+         "--l1", "1"],
+        ["integrate", "--f", "exp", "--n", "100", "--theta", "0.5", "--a", "0", "--b", "1",
+         "--bound", "linf"],
+        ["integrate", "--f", "exp", "--n", "100", "--theta", "0.5", "--a", "0", "--b", "1",
+         "--perturbed"],
+        ["kernel", "--n", "99", "--theta", "0.5", "--a", "0", "--b", "1"],
+    ],
+)
+def test_orders_past_the_kernel_range_exit_2(capsys, argv):
+    """Every kernel statistic overflows together from n = 99 (README)."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("thetaquad: floating-point overflow") and "Traceback" not in err
+
+
+def test_n_98_certifies_and_the_plain_rule_value_keeps_its_range(capsys):
+    for n in ("98", "99", "100"):
+        record = run_json(capsys, "integrate", "--f", "exp", "--n", n, "--theta", "0.5",
+                          "--a", "0", "--b", "1")
+        assert record["results"]["value"] == pytest.approx(math.e - 1.0, rel=1e-15)
+    for kind in CERTIFICATES:
+        record = run_json(capsys, "bound", "--bound", kind, "--f", "exp", "--n", "98",
+                          "--theta", "0.5", "--a", "0", "--b", "1")
+        assert record["results"]["bound"] >= 0.0
+
+
 def test_bad_oracle_tol_env(capsys, monkeypatch):
     monkeypatch.setenv("THETAQUAD_ORACLE_TOL", "not-a-number")
     code, _, err = run(

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -307,6 +308,25 @@ def test_polynomial_interior_max_found_without_sign_change():
     band = f.band(1, 0.0, 1.0)
     assert band.Gamma == pytest.approx(1.0, rel=1e-13)
     assert band.gamma == pytest.approx(0.75, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "coeffs,order,a,b",
+    [((0.3, -0.7, 0.2, 0.9, -0.1), 2, 1000.0, 1001.0), ((0.1, 0.5, -0.3, 0.7), 1, 300.0, 300.5)],
+)
+def test_polynomial_l1_far_from_zero_is_within_4_ulp(coeffs, order, a, b):
+    # f^(order) keeps one sign on [a, b], so ||f^(order)||_1 = |f^(order-1)(b) - f^(order-1)(a)|,
+    # taken exactly from the float coefficients
+    primitive = [Fraction(c) for c in coeffs]
+    for _ in range(order - 1):
+        primitive = [k * c for k, c in enumerate(primitive)][1:]
+
+    def value(x):
+        return sum(c * Fraction(x) ** k for k, c in enumerate(primitive))
+
+    exact = abs(value(b) - value(a))
+    l1 = PolynomialFunction(coeffs).norm_data(order, a, b).l1
+    assert abs(Fraction(l1) - exact) <= 4 * Fraction(math.ulp(float(exact)))
 
 
 def test_polynomial_beyond_its_degree_has_zero_norms():

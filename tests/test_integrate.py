@@ -30,8 +30,10 @@ from thetaquad import (
     extremal_integrand,
     reference_integral,
     sharpness_check,
+    sigma_functional,
     true_error,
 )
+import thetaquad.kernel
 from thetaquad import bounds
 from thetaquad.integrate import (
     _GL_NODES,
@@ -321,6 +323,50 @@ def test_one_certificate_per_width_equals_the_per_panel_definition(monkeypatch, 
                 assert res.covers_perturbed_rule is covers, case
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_kernel_stats_are_computed_once_per_panel_width(monkeypatch, n):
+    """A one-sided band certifies every panel, but each distinct width has one
+    RuleSpec, so the closed form runs once per width, not once per panel."""
+    calls = []
+    original = thetaquad.kernel.kernel_stats_closed
+
+    def counted(s):
+        calls.append(s.width)
+        return original(s)
+
+    monkeypatch.setattr(thetaquad.kernel, "kernel_stats_closed", counted)
+    fn, a, b, panels = Sine(1.0), 1000.0, 1001.0, 13
+    h = (b - a) / panels
+    edges = [a + i * h for i in range(panels)] + [b]
+    widths = {hi - lo for lo, hi in zip(edges, edges[1:])}
+    assert 1 < len(widths) < panels
+    band = fn.band(n, a, b)
+    for half_infinite in (DerivativeBand(band.gamma, math.inf, n),
+                          DerivativeBand(-math.inf, band.Gamma, n)):
+        calls.clear()
+        res = composite_integrate(fn.integrand(a, b), spec(0.5, n, a, b), panels, "band",
+                                  band=half_infinite)
+        assert res.covers_perturbed_rule and len(res.per_panel_bound) == panels
+        assert sorted(calls) == sorted(widths)
+
+
+def test_sigma_functional_evaluates_each_node_once():
+    """Both oracle passes read one value of f^(order) per node, bit for bit
+    the two passes of the definition run separately."""
+    sine, calls = Sine(20.0), Counter()
+
+    def counted(k, x):
+        calls[k] += 1
+        return sine.derivative(k, x)
+
+    value = sigma_functional(Integrand(counted, (0.0, 1.0)), 2, 0.0, 1.0)
+    assert calls == {2: 105}
+    g = Integrand(lambda _k, x: sine.derivative(2, x), (0.0, 1.0), max_order=0)
+    g_sq = Integrand(lambda _k, x: sine.derivative(2, x) ** 2, (0.0, 1.0), max_order=0)
+    int_g, int_g2 = reference_integral(g, 0.0, 1.0), reference_integral(g_sq, 0.0, 1.0)
+    assert value == max(int_g2 - int_g * int_g / 1.0, 0.0)
+
+
 def test_odd_one_sided_composite_reads_each_panel_rate_not_the_norms():
     fn = Exponential()
     f = fn.integrand(0.0, 1.0)
@@ -526,8 +572,6 @@ def test_extremal_integrand_order_is_capped():
 
 def test_extremal_integrand_attains_the_sharp_bound():
     """Quadrature error on the worst-case integrand equals the certificate."""
-    from thetaquad import sigma_functional
-
     s = spec(0.5, 3)
     f = extremal_integrand(s)
     err = true_error(f, s, tol=1e-13)

@@ -5,11 +5,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import thetaquad.kernel
 from thetaquad import (
+    DerivativeBand,
+    Exponential,
+    NormData,
     RuleSpec,
     ValidationError,
+    apply_rule,
+    certify,
     extremal_integrand,
-    kernel_centered_max_closed,
     kernel_stats_brute,
     kernel_stats_closed,
 )
@@ -140,8 +145,47 @@ def test_even_order_kernel_integral_sign_flips_at_one_third(theta, m):
 
 
 def test_centered_max_is_undefined_for_odd_orders():
-    with pytest.raises(ValidationError):
-        kernel_centered_max_closed(spec(0.5, 3))
+    assert kernel_stats_closed(spec(0.5, 3)).centered_max_abs is None
+
+
+def test_spec_stats_are_the_closed_form_computed_once(monkeypatch):
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return kernel_stats_closed(s)
+
+    monkeypatch.setattr(thetaquad.kernel, "kernel_stats_closed", counted)
+    s = spec(0.3, 4, a=-1.0, b=2.0)
+    assert s.stats is s.stats
+    assert s.stats == kernel_stats_closed(s)
+    assert calls == [s]
+
+
+def test_supported_range_ends_at_n_98():
+    """Every consumer of the kernel statistics answers at n = 98 on [0, 1];
+    at n = 99 (n!)^2 overflows and all six fields raise together."""
+    norms = NormData(l1=1.0, l2=1.0, linf=1.0, sigma=1.0, endpoint_diff_rate=0.5)
+    f = Exponential().integrand(0.0, 1.0)
+    for n in (97, 98):
+        s = spec(0.5, n)
+        bands = [DerivativeBand(0.0, 2.0, n), DerivativeBand(0.0, math.inf, n)]
+        for kind in ("l1", "l2", "linf", "sharp"):
+            assert certify(s, kind, norms).bound >= 0.0
+        for band in bands:
+            assert certify(s, "band", norms, band).bound >= 0.0
+        result = apply_rule(f, s)
+        assert math.isfinite(result.f_n_value)
+        assert (result.perturbation_term is None) == (n % 2 == 1)
+    for n in (99, 100):
+        with pytest.raises(OverflowError):
+            kernel_stats_closed(spec(0.5, n))
+        with pytest.raises(OverflowError):
+            certify(spec(0.5, n), "l1", norms)
+    # the plain rule value reads no kernel statistic and keeps its range
+    assert math.isfinite(apply_rule(f, spec(0.5, 99)).f_n_value)
+    with pytest.raises(OverflowError):
+        apply_rule(f, spec(0.5, 100))  # its even-n perturbation reads int K
 
 
 def test_averaged_first_order_stats_frozen():
