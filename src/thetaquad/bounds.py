@@ -81,9 +81,13 @@ class NormData:
                 continue
             if not math.isfinite(value) or value < 0.0:
                 raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
-        rate = self.endpoint_diff_rate
-        if rate is not None and not math.isfinite(rate):
-            raise ValidationError(f"endpoint_diff_rate must be finite, got {rate!r}")
+        if self.endpoint_diff_rate is not None:
+            _check_rate(self.endpoint_diff_rate)
+
+
+def _check_rate(rate: float) -> None:
+    if not math.isfinite(rate):
+        raise ValidationError(f"endpoint_diff_rate must be finite, got {rate!r}")
 
 
 @dataclass(frozen=True)
@@ -210,10 +214,10 @@ def certify(
     parity).  "band" reads ``band``: with odd n and two finite edges it is
     BandOdd, half the band width times int|K|.  Otherwise it reads the mean
     rate of f^(n), ``norms.endpoint_diff_rate`` with its provenance, and
-    takes the tighter valid side of the one-sided bound, |rate - edge|
-    (b - a) times max|K| (OneSidedOdd, odd n) or the centered sup of K
-    (PerturbedEven, even n, bounding the perturbed rule); the lower side
-    wins a tie.  Its half-infinite band records the side.
+    takes the tighter valid side, the lower winning a tie, of |rate - edge|
+    (b - a) times max|K| (OneSidedOdd, odd n) or the centred sup of K
+    (PerturbedEven, even n, bounding the perturbed rule), in its
+    half-infinite band.
     """
     if kind not in CERTIFICATES:
         raise ValidationError(
@@ -243,6 +247,16 @@ def certify(
         bound = 0.5 * (band.Gamma - band.gamma) * spec.stats.abs_integral
         return _certificate(CertificateKind.BAND_ODD, spec, bound, band=band)
     rate, datum = _datum(spec, kind, norms)
+    bound, lower = _one_sided(rate, band, spec)
+    side = DerivativeBand(*((band.gamma, math.inf) if lower else (-math.inf, band.Gamma)), spec.n)
+    theorem = CertificateKind.PERTURBED_EVEN if even else CertificateKind.ONE_SIDED_ODD
+    return _certificate(theorem, spec, bound, datum, side, covers_perturbed_rule=even)
+
+
+def _one_sided(rate: float, band: DerivativeBand, spec: RuleSpec) -> tuple[float, bool]:
+    """(budget, lower side?) of certify's one-sided band bound, which the
+    panel loop forms here too; rate and side are checked before spec.stats."""
+    _check_rate(rate)
     lower = math.isfinite(band.gamma) and rate >= band.gamma
     upper = math.isfinite(band.Gamma) and band.Gamma >= rate
     if not (lower or upper):
@@ -250,12 +264,14 @@ def certify(
             f"no valid side for the band certificate: no finite band edge bounds the "
             f"rate {rate!r}"
         )
-    sup = spec.stats.centered_max_abs if even else spec.stats.max_abs
-    low = abs(rate - band.gamma) * spec.width * sup if lower else None
-    high = abs(rate - band.Gamma) * spec.width * sup if upper else None
+    width = spec.width
+    sup = spec.stats.centered_max_abs if spec.n % 2 == 0 else spec.stats.max_abs
+
+    def budget(edge: float) -> float:
+        return abs(rate - edge) * width * sup
+
+    low = budget(band.gamma) if lower else None
+    high = budget(band.Gamma) if upper else None
     if high is None or (low is not None and low <= high):
-        bound, side = low, DerivativeBand(band.gamma, math.inf, spec.n)
-    else:
-        bound, side = high, DerivativeBand(-math.inf, band.Gamma, spec.n)
-    theorem = CertificateKind.PERTURBED_EVEN if even else CertificateKind.ONE_SIDED_ODD
-    return _certificate(theorem, spec, bound, datum, side, covers_perturbed_rule=even)
+        return low, True
+    return high, False

@@ -11,7 +11,7 @@ from . import bounds
 from .errors import ConvergenceError, ValidationError, check_int, check_interval
 from .kernel import RuleSpec, kernel_stats_brute
 from .poly import PiecewisePolynomial, _antiderivative_coeffs
-from .rules import Integrand, _mean_rate, _rule_value
+from .rules import Integrand, _corrections, _rule_terms, _rule_value
 
 __all__ = [
     "DEFAULT_ORACLE_TOL",
@@ -152,47 +152,49 @@ def _rule_panels(
     """The rule on a uniform partition: its value, one budget per panel, and
     whether the value includes the perturbation.
 
-    ``perturbed`` folds each panel's perturbation term (int K times the mean
-    rate of f^(n)) into the value.  With a ``certificate`` name each panel
-    gets a budget, and the value includes the perturbation exactly when that
-    certificate covers it.  The panel spec, whose ``stats`` hold int K and
-    every kernel constant of the certificate, and the certificate itself are
-    built once per distinct panel width; a certificate that reads the rate
-    (``bounds.reads_rate``) gets the panel's own as NormData and is built per
-    panel from the width's spec.  Without a certificate or ``perturbed`` no
-    kernel statistic is read.  The rate is evaluated at most once per
-    panel, and only when the certificate or the value reads it.  Panel
-    values are reduced in ascending order with compensated summation.
+    ``perturbed`` folds each panel's perturbation (int K times the mean rate
+    of f^(n)) into the value; with a ``certificate`` the value includes it
+    exactly when the certificate covers it.  Each distinct panel width gets
+    one RuleSpec, one ``bounds.certify`` and one set of correction factors;
+    a one-sided band (``bounds.reads_rate``) budgets each panel with
+    ``bounds._one_sided`` at the panel's own rate.  f^(n-1) is read only
+    where the certificate or the value reads the rate, once per panel edge.
+    Panel values are reduced in ascending order with compensated summation.
     """
     check_int("panels", panels, 1)
-    if perturbed and spec.n % 2 == 1:
-        raise ValidationError(f"the perturbed rule needs even n, got n={spec.n}")
-    per_panel = bounds.reads_rate(certificate, spec.n, band)
+    theta, n = spec.theta, spec.n
+    if perturbed and n % 2 == 1:
+        raise ValidationError(f"the perturbed rule needs even n, got n={n}")
+    one_sided = bounds.reads_rate(certificate, n, band)
     ev = f._on(spec.a, spec.b)
     edges = _panel_edges(spec.a, spec.b, panels)
     by_width: dict[float, tuple] = {}
     values: list[float] = []
     budgets: list[float] = []
+    left = None  # f^(n-1) at the panel's left end, if the panel before read it
+
+    def mean_rate(lo: float, hi: float) -> float:
+        nonlocal left
+        right = ev(n - 1, hi)
+        rate = (right - (ev(n - 1, lo) if left is None else left)) / (hi - lo)
+        left = right
+        return rate
+
     for lo, hi in zip(edges, edges[1:]):
         entry = by_width.get(hi - lo)
+        pspec = RuleSpec(theta, n, lo, hi) if entry is None else entry[0]
+        rate = mean_rate(lo, hi) if one_sided else None
         if entry is None:
-            pspec = RuleSpec(spec.theta, spec.n, lo, hi)
-            once = certificate is not None and not per_panel
-            cert = bounds.certify(pspec, certificate, norms, band) if once else None
-            entry = by_width[hi - lo] = (pspec, cert)
-        pspec, cert = entry
-        rate = None
-        if per_panel:
-            rate = _mean_rate(ev, spec.n, lo, hi)
-            datum = bounds.NormData(endpoint_diff_rate=rate)
-            cert = bounds.certify(pspec, certificate, datum, band)
+            datum = bounds.NormData(endpoint_diff_rate=rate) if one_sided else norms
+            cert = None if certificate is None else bounds.certify(pspec, certificate, datum, band)
+            entry = by_width[hi - lo] = (pspec, cert, _corrections(theta, n, hi - lo))
+        _, cert, corrections = entry
         if cert is not None:
-            budgets.append(cert.bound)
+            budgets.append(bounds._one_sided(rate, band, pspec)[0] if one_sided else cert.bound)
             perturbed = cert.covers_perturbed_rule
-        value = math.fsum(_rule_value(ev, spec.theta, spec.n, lo, hi))
+        value = math.fsum(_rule_terms(ev, theta, corrections, lo, hi))
         if perturbed:
-            int_k = pspec.stats.integral
-            value += int_k * (_mean_rate(ev, spec.n, lo, hi) if rate is None else rate)
+            value += pspec.stats.integral * (mean_rate(lo, hi) if rate is None else rate)
         values.append(value)
     return math.fsum(values), budgets, perturbed
 
@@ -241,15 +243,15 @@ def composite_integrate(
 ) -> CompositeResult:
     """Apply the rule on a uniform partition and budget each panel.
 
-    ``certificate`` is a name in bounds.CERTIFICATES; each panel's budget
-    comes from bounds.certify, called once per distinct panel width.  Norm
-    inputs are global for [a, b] and reused on every panel; that is
-    conservative because every norm a certificate consumes can only shrink
-    on a subinterval (sigma included: the panel-centred variance is at most
-    the interval variance).  A one-sided "band" certificate (even n, or a
-    half-infinite band at odd n) reads each panel's own mean rate of f^(n),
-    computed exactly from f's derivative closures, so it is certified once
-    per panel; ``norms.endpoint_diff_rate`` is never read.
+    ``certificate`` is a name in bounds.CERTIFICATES, certified once per
+    distinct panel width for every kind.  Norm inputs are global for [a, b]
+    and reused on every panel; that is conservative because every norm a
+    certificate consumes can only shrink on a subinterval (sigma included:
+    the panel-centred variance is at most the interval variance).  A
+    one-sided "band" (even n, or a half-infinite band at odd n) instead reads
+    each panel's own mean rate of f^(n), f^(n-1) being read once per panel
+    edge, and budgets the panel with the one ``bounds`` one-sided formula at
+    its width's kernel sup; ``norms.endpoint_diff_rate`` is never read.
     """
     if certificate is None:  # the panel loop reads None as "no certificate"
         raise ValidationError("composite_integrate needs a certificate kind")

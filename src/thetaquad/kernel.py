@@ -109,47 +109,53 @@ def kernel_stats_closed(spec: RuleSpec) -> KernelStats:
     Each is a power of (b - a) over n! 2^n (squared for the l2 pair) times a
     dimensionless factor of (n, theta).  The bounds, the rules and the panel
     loop read them through ``RuleSpec.stats``, which calls this once per
-    spec.  All six are computed together, so where one overflows the call
-    raises OverflowError (module docstring).
+    spec.  Where one overflows the call raises OverflowError naming n, the
+    interval width and the supported range (module docstring).
     """
     n, theta, w = spec.n, spec.theta, spec.width
-    fact = float(math.factorial(n))
-    scale = fact * 2.0**n
-    w_n1, w_2n1 = w ** (n + 1), w ** (2 * n + 1)
-    height = w**n / scale  # sup|K| and the centred sup are this times a factor
-    volume = w_n1 / scale  # at even n, int K = volume * (1/(n+1) - theta)
-    tn = theta * n
-    if tn >= 1.0:
-        abs_integral = volume * (theta - 1.0 / (n + 1))
-    else:
-        lobe = n * float(math.factorial(n + 1)) * 2.0**n
-        abs_integral = w_n1 / lobe * (2.0 * tn ** (n + 1) - tn * (n + 1) + n)
-    # sup|K|: a dedicated n = 1 branch (which also dodges 0**0), then
-    # theta n > theta + 1, 1 <= theta n <= theta + 1 and theta n < 1
-    peak = theta**n * float(n - 1) ** (n - 1) if n > 1 else 0.0
-    if n == 1:
-        sup = max(1.0 - theta, theta)
-    elif tn > theta + 1.0:
-        sup = tn - 1.0
-    else:
-        sup = peak if tn >= 1.0 else max(1.0 - tn, peak)
-    # int K^2 over one denominator; sigma(K) takes (int K)^2/(b - a) off its
-    # bracket, clamped against roundoff; at odd n int K = 0 and the two agree
-    bracket = theta * theta * n * n * (2 * n + 1) - theta * (4 * n * n - 1) + (2 * n - 1)
-    denom = (2 * n + 1) * (2 * n - 1) * fact**2 * 2.0 ** (2 * n)
-    l2_sq = centered_l2_sq = bracket * w_2n1 / denom
-    integral, centered = 0.0, None
-    if n % 2 == 0:
-        integral = volume * (1.0 / (n + 1) - theta)
-        bracket = max(bracket - (4 * n * n - 1) * (1.0 / (n + 1) - theta) ** 2, 0.0)
-        centered_l2_sq = bracket * w_2n1 / denom
-        d1 = theta - 1.0 / (n + 1)
-        d2 = theta * (n - 1) - n / (n + 1)
-        if theta * (n - 1) >= 1.0:
-            centered = height * max(d1, d2)
+    try:
+        fact = float(math.factorial(n))
+        scale = fact * 2.0**n
+        w_n1, w_2n1 = w ** (n + 1), w ** (2 * n + 1)
+        height = w**n / scale  # sup|K| and the centred sup are this times a factor
+        volume = w_n1 / scale  # at even n, int K = volume * (1/(n+1) - theta)
+        tn = theta * n
+        if tn >= 1.0:
+            abs_integral = volume * (theta - 1.0 / (n + 1))
         else:
-            centered = height * max(abs(d1), abs(d2), abs(d1 - peak))
-    return KernelStats(integral, abs_integral, height * sup, l2_sq, centered, centered_l2_sq)
+            lobe = n * float(math.factorial(n + 1)) * 2.0**n
+            abs_integral = w_n1 / lobe * (2.0 * tn ** (n + 1) - tn * (n + 1) + n)
+        # sup|K|: a dedicated n = 1 branch (which also dodges 0**0), then
+        # theta n > theta + 1, 1 <= theta n <= theta + 1 and theta n < 1
+        peak = theta**n * float(n - 1) ** (n - 1) if n > 1 else 0.0
+        if n == 1:
+            sup = max(1.0 - theta, theta)
+        elif tn > theta + 1.0:
+            sup = tn - 1.0
+        else:
+            sup = peak if tn >= 1.0 else max(1.0 - tn, peak)
+        # int K^2 over one denominator; sigma(K) takes (int K)^2/(b - a) off its
+        # bracket, clamped against roundoff; at odd n int K = 0 and the two agree
+        bracket = theta * theta * n * n * (2 * n + 1) - theta * (4 * n * n - 1) + (2 * n - 1)
+        denom = (2 * n + 1) * (2 * n - 1) * fact**2 * 2.0 ** (2 * n)
+        l2_sq = centered_l2_sq = bracket * w_2n1 / denom
+        integral, centered = 0.0, None
+        if n % 2 == 0:
+            integral = volume * (1.0 / (n + 1) - theta)
+            bracket = max(bracket - (4 * n * n - 1) * (1.0 / (n + 1) - theta) ** 2, 0.0)
+            centered_l2_sq = bracket * w_2n1 / denom
+            d1 = theta - 1.0 / (n + 1)
+            d2 = theta * (n - 1) - n / (n + 1)
+            if theta * (n - 1) >= 1.0:
+                centered = height * max(d1, d2)
+            else:
+                centered = height * max(abs(d1), abs(d2), abs(d1 - peak))
+        return KernelStats(integral, abs_integral, height * sup, l2_sq, centered, centered_l2_sq)
+    except OverflowError as exc:
+        raise OverflowError(
+            f"kernel statistics at n={n} on an interval of width {w!r} overflow a float; "
+            f"the closed form is supported for n <= 98 with (b - a)^(2n+1) < 1.8e308"
+        ) from exc
 
 
 def kernel_stats_brute(spec: RuleSpec) -> KernelStats:

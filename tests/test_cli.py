@@ -502,10 +502,14 @@ def test_validation_failures_exit_2(capsys, argv):
     ],
 )
 def test_orders_past_the_kernel_range_exit_2(capsys, argv):
-    """Every kernel statistic overflows together from n = 99 (README)."""
+    """Every kernel statistic overflows together from n = 99 (README); the
+    message names the order, the interval width and the supported range."""
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("thetaquad: floating-point overflow") and "Traceback" not in err
+    n = argv[argv.index("--n") + 1]
+    assert f"n={n} on an interval of width 1.0" in err
+    assert "supported for n <= 98 with (b - a)^(2n+1) < 1.8e308" in err
 
 
 def test_n_98_certifies_and_the_plain_rule_value_keeps_its_range(capsys):

@@ -236,12 +236,12 @@ def test_band_certificate_covers_perturbed_value_for_even_orders():
 
 @pytest.mark.parametrize(
     "n, certificate, rate_calls",
-    [(2, "l1", 0), (2, "l2", 0), (2, "linf", 0), (2, "band", 20), (2, "sharp", 20),
-     (4, "band", 20)],
+    [(2, "l1", 0), (2, "l2", 0), (2, "linf", 0), (2, "band", 11), (2, "sharp", 11),
+     (4, "band", 11)],
 )
 def test_composite_evaluates_the_rate_only_where_it_is_read(n, certificate, rate_calls):
-    """f^(n-1) is evaluated at a panel's two ends only when the certificate or
-    the certified value reads the mean rate, and at most once per panel."""
+    """f^(n-1) is evaluated only when the certificate or the certified value
+    reads the mean rate, and then once per panel edge: P + 1 reads."""
     fn = Exponential()
     calls = Counter()
 
@@ -264,11 +264,11 @@ def test_composite_evaluates_the_rate_only_where_it_is_read(n, certificate, rate
      (Sine(1.0), 1000.0, 1001.0, 13), (Runge(), -5.0, 5.0, 999)],
 )
 def test_one_certificate_per_width_equals_the_per_panel_definition(monkeypatch, fn, a, b, panels):
-    """Panel widths differ by ulps.  Each width is certified once (a one-sided
-    band, at even n or from a half-infinite band at odd n: once per panel),
-    and every output bit equals the definition: each panel certified on its
-    own, its value the fsum of apply_rule's terms plus the perturbation where
-    the certificate covers it."""
+    """Panel widths differ by ulps.  Each width is certified once, for every
+    kind (a one-sided band, at even n or from a half-infinite band at odd n,
+    included), and every output bit equals the definition: each panel
+    certified on its own, its value the fsum of apply_rule's terms plus the
+    perturbation where the certificate covers it."""
     calls = Counter()
     original = bounds.certify
 
@@ -316,7 +316,7 @@ def test_one_certificate_per_width_equals_the_per_panel_definition(monkeypatch, 
                     CertificateKind.ONE_SIDED_ODD, CertificateKind.PERTURBED_EVEN
                 )
                 assert one_sided is (kind == "band" and (n % 2 == 0 or kind_band is not band))
-                assert calls["certify"] == (panels if one_sided else widths), case
+                assert calls["certify"] == widths, case
                 assert res.value == math.fsum(values), case
                 assert res.per_panel_bound == tuple(c.bound for c in certs), case
                 assert res.total_bound == math.fsum(c.bound for c in certs), case
@@ -365,6 +365,23 @@ def test_sigma_functional_evaluates_each_node_once():
     g_sq = Integrand(lambda _k, x: sine.derivative(2, x) ** 2, (0.0, 1.0), max_order=0)
     int_g, int_g2 = reference_integral(g, 0.0, 1.0), reference_integral(g_sq, 0.0, 1.0)
     assert value == max(int_g2 - int_g * int_g / 1.0, 0.0)
+
+
+@pytest.mark.parametrize("n, band", [(2, DerivativeBand(-1.0, 1.0, 2)),
+                                     (3, DerivativeBand(-1.0, math.inf, 3))])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_non_finite_panel_rate_is_refused(n, band, sign):
+    """f^(n-1) jumps from -1e308 to +1e308 inside the third of four equal
+    panels, so that panel's rate overflows although its width was already
+    certified at a finite rate; the one-sided band refuses it."""
+
+    def derivative_fn(order, x):
+        return sign * (1e308 if x > 0.6 else -1e308) if order == n - 1 else 0.0
+
+    f = Integrand(derivative_fn=derivative_fn, domain=(0.0, 1.0))
+    rate = "inf" if sign > 0 else "-inf"
+    with pytest.raises(ValidationError, match=rf"^endpoint_diff_rate must be finite, got {rate}$"):
+        composite_integrate(f, spec(0.5, n), 4, "band", band=band)
 
 
 def test_odd_one_sided_composite_reads_each_panel_rate_not_the_norms():
