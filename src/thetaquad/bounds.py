@@ -90,6 +90,11 @@ def _check_rate(rate: float) -> None:
         raise ValidationError(f"endpoint_diff_rate must be finite, got {rate!r}")
 
 
+def _check_bound(bound: float) -> None:
+    if not math.isfinite(bound) or bound < 0.0:
+        raise ValidationError(f"bound must be finite and >= 0, got {bound!r}")
+
+
 @dataclass(frozen=True)
 class DerivativeBand:
     """gamma <= f^(order) <= Gamma on the working interval.
@@ -142,8 +147,7 @@ class ErrorCertificate:
     rigor: str
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.bound) or self.bound < 0.0:
-            raise ValidationError(f"bound must be finite and >= 0, got {self.bound!r}")
+        _check_bound(self.bound)
         if self.rigor not in ("rigorous", "heuristic-inputs"):
             raise ValidationError(f"unexpected rigor value {self.rigor!r}")
 
@@ -255,7 +259,8 @@ def certify(
 
 def _one_sided(rate: float, band: DerivativeBand, spec: RuleSpec) -> tuple[float, bool]:
     """(budget, lower side?) of certify's one-sided band bound, which the
-    panel loop forms here too; rate and side are checked before spec.stats."""
+    panel loop forms here too; rate and side are checked before spec.stats,
+    and the budget as ErrorCertificate checks it."""
     _check_rate(rate)
     lower = math.isfinite(band.gamma) and rate >= band.gamma
     upper = math.isfinite(band.Gamma) and band.Gamma >= rate
@@ -272,6 +277,7 @@ def _one_sided(rate: float, band: DerivativeBand, spec: RuleSpec) -> tuple[float
 
     low = budget(band.gamma) if lower else None
     high = budget(band.Gamma) if upper else None
-    if high is None or (low is not None and low <= high):
-        return low, True
-    return high, False
+    on_lower = high is None or (low is not None and low <= high)
+    bound = low if on_lower else high
+    _check_bound(bound)
+    return bound, on_lower

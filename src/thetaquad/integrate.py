@@ -11,7 +11,7 @@ from . import bounds
 from .errors import ConvergenceError, ValidationError, check_int, check_interval
 from .kernel import RuleSpec, kernel_stats_brute
 from .poly import PiecewisePolynomial, _antiderivative_coeffs
-from .rules import Integrand, _corrections, _rule_terms, _rule_value
+from .rules import Integrand, _rule_value
 
 __all__ = [
     "DEFAULT_ORACLE_TOL",
@@ -155,11 +155,11 @@ def _rule_panels(
     ``perturbed`` folds each panel's perturbation (int K times the mean rate
     of f^(n)) into the value; with a ``certificate`` the value includes it
     exactly when the certificate covers it.  Each distinct panel width gets
-    one RuleSpec, one ``bounds.certify`` and one set of correction factors;
-    a one-sided band (``bounds.reads_rate``) budgets each panel with
-    ``bounds._one_sided`` at the panel's own rate.  f^(n-1) is read only
-    where the certificate or the value reads the rate, once per panel edge.
-    Panel values are reduced in ascending order with compensated summation.
+    one RuleSpec and one ``bounds.certify``; a one-sided band
+    (``bounds.reads_rate``) budgets each panel with ``bounds._one_sided`` at
+    the panel's own rate.  f^(n-1) is read only where the certificate or the
+    value reads the rate, once per panel edge.  Panel values are reduced in
+    ascending order with compensated summation.
     """
     check_int("panels", panels, 1)
     theta, n = spec.theta, spec.n
@@ -187,12 +187,12 @@ def _rule_panels(
         if entry is None:
             datum = bounds.NormData(endpoint_diff_rate=rate) if one_sided else norms
             cert = None if certificate is None else bounds.certify(pspec, certificate, datum, band)
-            entry = by_width[hi - lo] = (pspec, cert, _corrections(theta, n, hi - lo))
-        _, cert, corrections = entry
+            entry = by_width[hi - lo] = (pspec, cert)
+        _, cert = entry
         if cert is not None:
             budgets.append(bounds._one_sided(rate, band, pspec)[0] if one_sided else cert.bound)
             perturbed = cert.covers_perturbed_rule
-        value = math.fsum(_rule_terms(ev, theta, corrections, lo, hi))
+        value = math.fsum(_rule_value(ev, theta, n, lo, hi))
         if perturbed:
             value += pspec.stats.integral * (mean_rate(lo, hi) if rate is None else rate)
         values.append(value)

@@ -134,34 +134,23 @@ def _mean_rate(f: Callable, n: int, a: float, b: float) -> float:
     return (f(n - 1, b) - f(n - 1, a)) / (b - a)
 
 
-def _corrections(theta, n: int, w) -> list:
-    """The factors (1 - theta k) w^k / (k! 4^i), k = 2i + 1, of f^(2i)(mid) in
-    the corrections of the module docstring, on an interval of width w."""
-    coeffs = []
+def _rule_value(f: Callable, theta, n: int, a, b) -> list:
+    """[base, *corrections], F_n being their sum; f(k, x) is f^(k)(x).
+
+    The corrections are those of the module docstring, so theta = 1/3
+    zeroes the first (Simpson) and theta = 1/5 the second.  Integer literals
+    only, so Fractions stay exact (the sharpness check sums them itself) and
+    floats keep their bits (callers use ``math.fsum``).
+    """
+    w, mid = b - a, (a + b) / 2
+    fm = f(0, mid)
+    fa = f(0, a)
+    fb = f(0, b)
+    terms = [w * ((1 - theta) * fm + theta / 2 * (fa + fb))]
     for i in range(1, (n - 1) // 2 + 1):
         k = 2 * i + 1
-        coeffs.append((1 - theta * k) * w**k / (math.factorial(k) * 4**i))
-    return coeffs
-
-
-def _rule_terms(f: Callable, theta, corrections: list, a, b) -> list:
-    """[base, *corrections], F_n being their sum, from f(k, x) = f^(k)(x) and
-    ``corrections = _corrections(theta, n, b - a)`` (theta = 1/3 zeroes the
-    first, Simpson, and 1/5 the second).  Integer literals only, so Fractions
-    stay exact (the sharpness check sums them itself) and floats keep their
-    bits (callers use ``math.fsum``)."""
-    w, mid = b - a, (a + b) / 2
-    terms = [w * ((1 - theta) * f(0, mid) + theta / 2 * (f(0, a) + f(0, b)))]
-    order = 0
-    for c in corrections:  # the factor of f^(2i)(mid), i = 1, 2, ...
-        order += 2
-        terms.append(c * f(order, mid))
+        terms.append((1 - theta * k) * w**k / (math.factorial(k) * 4**i) * f(2 * i, mid))
     return terms
-
-
-def _rule_value(f: Callable, theta, n: int, a, b) -> list:
-    """``_rule_terms`` on [a, b] with the corrections of its width."""
-    return _rule_terms(f, theta, _corrections(theta, n, b - a), a, b)
 
 
 def apply_rule(f: Integrand, spec: RuleSpec) -> QuadratureResult:

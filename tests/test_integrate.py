@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 from decimal import Decimal, localcontext
@@ -367,20 +368,29 @@ def test_sigma_functional_evaluates_each_node_once():
     assert value == max(int_g2 - int_g * int_g / 1.0, 0.0)
 
 
-@pytest.mark.parametrize("n, band", [(2, DerivativeBand(-1.0, 1.0, 2)),
-                                     (3, DerivativeBand(-1.0, math.inf, 3))])
-@pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_non_finite_panel_rate_is_refused(n, band, sign):
-    """f^(n-1) jumps from -1e308 to +1e308 inside the third of four equal
-    panels, so that panel's rate overflows although its width was already
-    certified at a finite rate; the one-sided band refuses it."""
+@pytest.mark.parametrize(
+    "n, band, left, right, message",
+    [(2, DerivativeBand(-1.0, 1.0, 2), -1e308, 1e308, "endpoint_diff_rate must be finite, got inf"),
+     (2, DerivativeBand(-1.0, 1.0, 2), 1e308, -1e308, "endpoint_diff_rate must be finite, got -inf"),
+     (3, DerivativeBand(-1.0, math.inf, 3), -1e308, 1e308,
+      "endpoint_diff_rate must be finite, got inf"),
+     (3, DerivativeBand(-1.0, math.inf, 3), 1e308, -1e308,
+      "endpoint_diff_rate must be finite, got -inf"),
+     (2, DerivativeBand(-1e308, math.inf, 2), 0.0, 2e307, "bound must be finite and >= 0, got inf"),
+     (3, DerivativeBand(-1e308, math.inf, 3), 0.0, 2e307, "bound must be finite and >= 0, got inf")],
+)
+def test_non_finite_panel_rate_is_refused(n, band, left, right, message):
+    """f^(n-1) jumps from ``left`` to ``right`` inside the third of four equal
+    panels, whose width was already certified at the first panel's finite
+    rate and budget.  Where the jump overflows the rate, or the finite rate
+    8e307 overflows |rate - edge| against the edge -1e308, the one-sided band
+    refuses that panel with the per-panel certificate's message."""
 
     def derivative_fn(order, x):
-        return sign * (1e308 if x > 0.6 else -1e308) if order == n - 1 else 0.0
+        return (right if x > 0.6 else left) if order == n - 1 else 0.0
 
     f = Integrand(derivative_fn=derivative_fn, domain=(0.0, 1.0))
-    rate = "inf" if sign > 0 else "-inf"
-    with pytest.raises(ValidationError, match=rf"^endpoint_diff_rate must be finite, got {rate}$"):
+    with pytest.raises(ValidationError, match=rf"^{re.escape(message)}$"):
         composite_integrate(f, spec(0.5, n), 4, "band", band=band)
 
 
