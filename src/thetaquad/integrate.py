@@ -182,6 +182,9 @@ def _rule_panels(
 
     for lo, hi in zip(edges, edges[1:]):
         entry = by_width.get(hi - lo)
+        if entry is None and not hi > lo:
+            at = f"panels={panels} on [{spec.a!r}, {spec.b!r}]"
+            raise ValidationError(f"{at}: neighbouring panel edges round to the same float")
         pspec = RuleSpec(theta, n, lo, hi) if entry is None else entry[0]
         rate = mean_rate(lo, hi) if one_sided else None
         if entry is None:
@@ -346,42 +349,49 @@ def extremal_integrand(spec: RuleSpec) -> Integrand:
 def _end_to_end_error(spec: RuleSpec) -> float:
     """Exact rule error of the extremal integrand, rounded once.
 
-    The production rule formula (``rules._rule_value``) runs on the exact
-    pieces in Fraction arithmetic.  At even n the perturbation int K times
-    the mean of f^(n) joins it; both factors read int K = f^(n-1)(b) -
-    f^(n-1)(a), so it is (int K)^2/(b - a).  By the Peano identity the error
-    is then sigma(K) exactly, for every n.
+    ``rules._rule_value`` runs in Fraction on the values of f it reads, each
+    from a closed form.  With h = (b - a)/2 and alpha_j = (1 - theta (2n - j))
+    / (2n - j)!, f^(j) is 0 at a and h^(2n-j) alpha_j at mid, where the right
+    half's own primitive is (-1)^j times that, so f^(j)(b) is h^(2n-j) times
+    the sum over odd i = j..n-1 of 2 alpha_i/(i - j)!; order -1 is int f.
+    At even n the perturbation (int K)^2/(b - a) joins the rule.  By the
+    Peano identity the error is then sigma(K) exactly, for every n.
     """
     from fractions import Fraction  # deferred: only the exact path needs it
 
-    pieces, antiderivative = _extremal_pieces(spec)
+    n, (t_num, t_den) = spec.n, spec.theta.as_integer_ratio()
     a, b = Fraction(spec.a), Fraction(spec.b)
-    mid = (a + b) / 2
+    h, mid = (b - a) / 2, (a + b) / 2
 
-    def derivative(order: int, x):
-        left, right = pieces[order]
-        return _exact_value(left, x - a) if x < mid else _exact_value(right, x - mid)
+    def derivative(order: int, x):  # h^m s / (t_den m!) with m = 2n - order
+        if x == a:
+            return 0
+        m = 2 * n - order
+        if x == mid:
+            s = t_den - t_num * m
+        else:
+            s = sum(2 * math.comb(m, i - order) * (t_den - t_num * (2 * n - i))
+                    for i in range(order | 1, n, 2))
+        return Fraction(h.numerator**m * s, h.denominator**m * t_den * math.factorial(m))
 
-    n = spec.n
     value = sum(_rule_value(derivative, Fraction(spec.theta), n, a, b))
     if n % 2 == 0:
         int_k = derivative(n - 1, b) - derivative(n - 1, a)
         value += int_k * int_k / (b - a)
-    integral = _exact_value(antiderivative[1], b - mid)  # F(b) - F(a), as F(a) = 0
-    return float(abs(integral - value))
+    return float(abs(derivative(-1, b) - value))
 
 
 def sharpness_check(spec: RuleSpec, end_to_end: bool = False) -> SharpnessReport:
     """Verify the sharp bound attains equality for the kernel-shaped integrand.
 
     The attained error measure is sigma(K) = int K^2 - (int K)^2/(b - a)
-    (int K = 0 for odd n), the centered_l2_sq of kernel_stats_brute, exact
-    and rounded once; the closed-form sharp bound at sigma(K) (the
+    (int K = 0 for odd n), the centered_l2_sq of kernel_stats_brute (integer
+    sums, divided once); the closed-form sharp bound at sigma(K) (the
     centered_l2_sq of kernel_stats_closed) must match it.  With
-    ``end_to_end`` the rule itself runs on the extremal integrand in exact
-    arithmetic, for any n, and its error is reported as well: it equals lhs
-    bit for bit.  An interval so narrow that rhs underflows to 0.0 leaves the
-    ratio undefined and raises ValidationError.
+    ``end_to_end`` the rule runs in Fraction on closed-form values of the
+    extremal integrand, for any n, and its error is reported as well: it
+    equals lhs bit for bit.  An interval so narrow that rhs underflows to
+    0.0 leaves the ratio undefined and raises ValidationError.
     """
     lhs = kernel_stats_brute(spec).centered_l2_sq
     norms = bounds.NormData(sigma=spec.stats.centered_l2_sq, provenance="exact")

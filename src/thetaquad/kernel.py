@@ -14,16 +14,16 @@ the integral of |K|, its sup norm, the integral of K^2, the centred integral
 sigma(K) = int K^2 - (int K)^2/(b - a) and (for even n) the sup norm of K
 minus its mean — comes from one closed form, ``kernel_stats_closed``, which
 ``RuleSpec.stats`` calls at most once per spec.  ``kernel_stats_brute``
-evaluates the same six exactly in rational arithmetic from the definition
-above, so the two can be checked against each other.  Each certificate in
-``bounds`` is one ``KernelStats`` field times a norm datum; K itself is the
-n-th derivative of ``integrate.extremal_integrand``.
+evaluates the same six exactly from the definition above, as integer sums
+divided once, so the two can be checked against each other.  Each
+certificate in ``bounds`` is one ``KernelStats`` field times a norm datum;
+K itself is the n-th derivative of ``integrate.extremal_integrand``.
 
 The closed form raises OverflowError where (n!)^2 or (b - a)^(2n+1)
 overflows a float: at every n >= 99, and at lower n on intervals so wide that
 (b - a)^(2n+1) exceeds 1.8e308.  Everything that reads it raises there too.
-Inside that range, from n = 85 on, the denominator of int K^2 overflows to
-inf without raising, so l2_sq and centered_l2_sq read 0.0 there.
+From n = 85 on, the denominator of int K^2 overflows a float, so the closed
+form divides (n!)^2 out of (b - a)^(2n+1) first.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ class RuleSpec:
 
 @dataclass(frozen=True)
 class KernelStats:
-    """Closed-form (or exact rational) statistics of one kernel.
+    """Closed-form (or exact, rounded once) statistics of one kernel.
 
     centered_max_abs is the sup norm of K minus its interval mean; it only
     enters even-order certificates and is None for odd n.  centered_l2_sq is
@@ -138,6 +138,8 @@ def kernel_stats_closed(spec: RuleSpec) -> KernelStats:
         # bracket, clamped against roundoff; at odd n int K = 0 and the two agree
         bracket = theta * theta * n * n * (2 * n + 1) - theta * (4 * n * n - 1) + (2 * n - 1)
         denom = (2 * n + 1) * (2 * n - 1) * fact**2 * 2.0 ** (2 * n)
+        if denom == math.inf:  # from n = 85 on: divide (n!)^2 out of the power first
+            w_2n1, denom = w_2n1 / fact / fact, (2 * n + 1) * (2 * n - 1) * 2.0 ** (2 * n)
         l2_sq = centered_l2_sq = bracket * w_2n1 / denom
         integral, centered = 0.0, None
         if n % 2 == 0:
@@ -163,51 +165,39 @@ def kernel_stats_brute(spec: RuleSpec) -> KernelStats:
 
     Each half of K is p(u)/n! with p(u) = u^n - c u^(n-1): u = x - a on
     [a, mid] with c = theta n (b - a)/2, and u = x - b on [mid, b] with c
-    negated.  Its interior root u = c and stationary point u = c(n-1)/n are
-    rational, so every statistic is a finite sum of monomial integrals and
-    point values in ``fractions.Fraction``, rounded to float once; sigma(K)
-    is int K^2 - (int K)^2/(b - a) formed from those exact sums before its one
-    rounding.  No closed form is reused, so disagreement with
-    kernel_stats_closed flags an error in one of the two.
+    negated.  a, b and theta are binary fractions, so with u = U/D and
+    c = C/D every statistic, sigma(K) included, is an integer sum of
+    monomial integrals or point values over one integer denominator, divided
+    once (Python's int / int rounds correctly).  No closed form is reused, so
+    disagreement with kernel_stats_closed flags an error in one of the two.
     """
-    from fractions import Fraction  # deferred: only this cross-check needs it
+    n, q, r = spec.n, 2 * spec.n + 1, 2 * spec.n - 1
+    (a_num, a_den), (b_num, b_den) = spec.a.as_integer_ratio(), spec.b.as_integer_ratio()
+    w_den = max(a_den, b_den)  # both are powers of two
+    w_num = b_num * (w_den // b_den) - a_num * (w_den // a_den)
+    t_num, t_den = spec.theta.as_integer_ratio()
+    # D = 2 n w_den t_den keeps c(n-1)/n integral: (b - a)/2 = H/D, c = C/D
+    d, h, c_left = 2 * n * w_den * t_den, n * w_num * t_den, t_num * n * n * w_num
 
-    n = spec.n
-    a, b = Fraction(spec.a), Fraction(spec.b)
-    h = (b - a) / 2
-    c_left = Fraction(spec.theta) * n * h
+    def primitive(u, c):  # D^(n+1) n (n+1) int_0^u p
+        return u**n * (n * u - (n + 1) * c)
 
-    def p(u, c):
-        return u ** (n - 1) * (u - c)
+    def primitive_sq(u, c):  # D^q n q r int_0^u p^2
+        return u**r * (n * r * u * u - q * r * c * u + n * q * c * c)
 
-    def p_antiderivative(u, c):
-        return u**n * (u / (n + 1) - c / n)
-
-    def p_squared_antiderivative(u, c):
-        return u ** (2 * n - 1) * (u * u / (2 * n + 1) - c * u / n + c * c / (2 * n - 1))
-
-    integral = abs_integral = l2_sq = Fraction(0)
-    values = []
-    for c, lo, hi in ((c_left, Fraction(0), h), (-c_left, -h, Fraction(0))):
+    integral, abs_integral, l2_sq, values = 0, 0, 0, []
+    for c, lo, hi in ((c_left, 0, h), (-c_left, -h, 0)):
         cuts = [lo, c, hi] if lo < c < hi else [lo, hi]
-        pieces = [
-            p_antiderivative(right, c) - p_antiderivative(left, c)
-            for left, right in zip(cuts, cuts[1:])
-        ]
+        pieces = [primitive(right, c) - primitive(left, c) for left, right in zip(cuts, cuts[1:])]
         integral += sum(pieces)
         abs_integral += sum(map(abs, pieces))
-        l2_sq += p_squared_antiderivative(hi, c) - p_squared_antiderivative(lo, c)
-        values += [p(u, c) for u in (lo, hi, c * (n - 1) / n) if lo <= u <= hi]
+        l2_sq += primitive_sq(hi, c) - primitive_sq(lo, c)
+        values += [u ** (n - 1) * (u - c) for u in (lo, hi, c * (n - 1) // n) if lo <= u <= hi]
 
     fact = math.factorial(n)
-    mean = integral / (b - a)
-    return KernelStats(
-        integral=float(integral / fact),
-        abs_integral=float(abs_integral / fact),
-        max_abs=float(max(map(abs, values)) / fact),
-        l2_sq=float(l2_sq / fact**2),
-        centered_max_abs=(
-            float(max(abs(v - mean) for v in values) / fact) if n % 2 == 0 else None
-        ),
-        centered_l2_sq=float((l2_sq - integral * mean) / fact**2),
-    )
+    vol, point, sq = d ** (n + 1) * n * (n + 1) * fact, d**n * fact, d**q * n * q * r * fact**2
+    mean = n * (n + 1) * 2 * h  # the mean of p is integral / (D^n mean)
+    sup = max(map(abs, values)) / point
+    centered = None if n % 2 else max(abs(v * mean - integral) for v in values) / (point * mean)
+    sigma = (l2_sq * (n + 1) * mean - integral * integral * q * r) / (sq * (n + 1) * mean)
+    return KernelStats(integral / vol, abs_integral / vol, sup, l2_sq / sq, centered, sigma)

@@ -489,6 +489,16 @@ def test_validation_failures_exit_2(capsys, argv):
     assert err  # a reason lands on stderr
 
 
+def test_too_many_panels_name_the_panel_count(capsys):
+    code, out, err = run(
+        capsys, "integrate", "--f", "exp", "--n", "2", "--theta", "0.5", "--a", "1",
+        "--b", "1.000000000001", "--panels", "100000", "--bound", "linf",
+    )
+    assert (code, out) == (2, "")
+    assert "panels=100000 on [1.0, 1.000000000001]" in err
+    assert "neighbouring panel edges round to the same float" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -34,8 +34,9 @@ from thetaquad import (
     sigma_functional,
     true_error,
 )
+import thetaquad.integrate
 import thetaquad.kernel
-from thetaquad import bounds
+from thetaquad import bounds, rules
 from thetaquad.integrate import (
     _GL_NODES,
     _GL_WEIGHTS,
@@ -471,6 +472,19 @@ def test_missing_norms_rejected():
         composite_integrate(f, spec(0.5, 2), panels=2, certificate=None)
 
 
+def test_too_many_panels_name_the_panel_count():
+    """Neighbouring edges a + i (b - a)/panels that round to one float are
+    a panel count too large for the interval, not a bad interval."""
+    f = Exponential().integrand(1.0, 1.000000000001)
+    s = spec(0.5, 2, a=1.0, b=1.000000000001)
+    message = r"panels=100000 on \[1.0, 1.000000000001\]: neighbouring panel edges round"
+    for certificate, norms in [("linf", NormData(linf=3.0)), ("band", None)]:
+        band = DerivativeBand(2.7, 2.8, 2) if norms is None else None
+        with pytest.raises(ValidationError, match=message):
+            composite_integrate(f, s, 100000, certificate, norms=norms, band=band)
+    assert composite_integrate(f, s, 1000, "linf", norms=NormData(linf=3.0)).panels == 1000
+
+
 def test_panel_count_validated():
     f = Exponential().integrand(0.0, 1.0)
     norms = Exponential().norm_data(2, 0.0, 1.0)
@@ -550,6 +564,33 @@ def test_extremal_pieces_are_a_continuous_derivative_chain():
         for left, right in chain[:-1]:
             assert left[0] == 0
             assert _exact_value(left, h) == right[0]
+
+
+def test_end_to_end_node_values_are_the_extremal_pieces(monkeypatch):
+    """The closed forms the end-to-end check feeds the rule are the exact
+    pieces of the extremal integrand at a, mid and b, for every order below
+    n and for F (order -1, F(b) = int f), so the two derivations agree."""
+    readers = []
+
+    def capture(f, *args):
+        readers.append(f)
+        return rules._rule_value(f, *args)
+
+    monkeypatch.setattr(thetaquad.integrate, "_rule_value", capture)
+    rng = random.Random(5)
+    for n in range(1, 13):
+        for theta in (0.0, 1.0 / 3.0, 0.5, 1.0, 1.0 / n, rng.random()):
+            a = rng.uniform(-3.0, 3.0)
+            s = spec(theta, n, a=a, b=a + rng.uniform(0.01, 4.0))
+            sharpness_check(s, end_to_end=True)
+            derivative = readers.pop()
+            pieces, antiderivative = _extremal_pieces(s)
+            a, b = Fraction(s.a), Fraction(s.b)
+            h = (b - a) / 2
+            for order, (left, right) in enumerate([antiderivative, *pieces[:n]], start=-1):
+                assert derivative(order, a) == left[0] == 0, (s, order)
+                assert derivative(order, a + h) == _exact_value(left, h) == right[0], (s, order)
+                assert derivative(order, b) == _exact_value(right, h), (s, order)
 
 
 def test_extremal_pieces_start_from_the_kernel_halves():

@@ -1,4 +1,6 @@
 import math
+import random
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ import thetaquad.kernel
 from thetaquad import (
     DerivativeBand,
     Exponential,
+    KernelStats,
     NormData,
     RuleSpec,
     ValidationError,
@@ -128,6 +131,99 @@ def test_brute_stats_are_exact_then_rounded_once():
     assert stats.centered_max_abs is None
     assert stats.centered_l2_sq == float(Fraction(1, 48))
     assert kernel_stats_brute(spec(0.5, 2)).centered_l2_sq == float(Fraction(1, 11520))
+
+
+def fraction_brute(spec):
+    """The rational reference for kernel_stats_brute: each statistic summed in
+    ``fractions.Fraction`` from the same definition and rounded once."""
+    n = spec.n
+    a, b = Fraction(spec.a), Fraction(spec.b)
+    h = (b - a) / 2
+    c_left = Fraction(spec.theta) * n * h
+
+    def p(u, c):
+        return u ** (n - 1) * (u - c)
+
+    def p_antiderivative(u, c):
+        return u**n * (u / (n + 1) - c / n)
+
+    def p_squared_antiderivative(u, c):
+        return u ** (2 * n - 1) * (u * u / (2 * n + 1) - c * u / n + c * c / (2 * n - 1))
+
+    integral = abs_integral = l2_sq = Fraction(0)
+    values = []
+    for c, lo, hi in ((c_left, Fraction(0), h), (-c_left, -h, Fraction(0))):
+        cuts = [lo, c, hi] if lo < c < hi else [lo, hi]
+        pieces = [
+            p_antiderivative(right, c) - p_antiderivative(left, c)
+            for left, right in zip(cuts, cuts[1:])
+        ]
+        integral += sum(pieces)
+        abs_integral += sum(map(abs, pieces))
+        l2_sq += p_squared_antiderivative(hi, c) - p_squared_antiderivative(lo, c)
+        values += [p(u, c) for u in (lo, hi, c * (n - 1) / n) if lo <= u <= hi]
+
+    fact = math.factorial(n)
+    mean = integral / (b - a)
+    return KernelStats(
+        integral=float(integral / fact),
+        abs_integral=float(abs_integral / fact),
+        max_abs=float(max(map(abs, values)) / fact),
+        l2_sq=float(l2_sq / fact**2),
+        centered_max_abs=(
+            float(max(abs(v - mean) for v in values) / fact) if n % 2 == 0 else None
+        ),
+        centered_l2_sq=float((l2_sq - integral * mean) / fact**2),
+    )
+
+
+def seeded_specs(count, seed):
+    """n = 1..60; theta a preset, 1/n, 2/n or uniform; widths 1e-6..30 with
+    |a| up to 1e6; the first spec is n = 1, theta = 0 on [0, 1]."""
+    rng = random.Random(seed)
+    specs = [spec(0.0, 1)]
+    while len(specs) < count:
+        n = rng.randint(1, 60)
+        theta = rng.choice([0.0, 1.0 / 3.0, 0.5, 1.0, 1.0 / n, min(2.0 / n, 1.0), rng.random()])
+        width = 10.0 ** rng.uniform(-6.0, math.log10(30.0))
+        a = rng.choice([0.0, -width / 2, rng.uniform(-1.0, 1.0), rng.uniform(-1e6, 1e6)])
+        if a + width > a:
+            specs.append(spec(theta, n, a, a + width))
+    return specs
+
+
+def test_brute_stats_are_the_rational_reference_bit_for_bit():
+    """Integer sums over one denominator, divided once, round like the
+    Fraction sums they replace: every field has the same repr."""
+    specs = seeded_specs(2000, 17)
+    assert {s.n for s in specs} == set(range(1, 61))
+    for s in specs:
+        assert repr(kernel_stats_brute(s)) == repr(fraction_brute(s)), s
+
+
+def test_closed_stats_match_brute_force_from_n_41_to_98():
+    """Acceptance criterion 1 (n <= 40) extended to the end of the range:
+    its theta grid, intervals and tolerance, then l2_sq and centered_l2_sq
+    relative to the exact value on [0, 30], where from n = 85 on the
+    denominator of int K^2 overflows a float."""
+    grid = [i / 10.0 for i in range(11)]
+    for n in range(41, 99):
+        for theta in grid:
+            for a, b in [(0.0, 1.0), (-1.0, 2.0)]:
+                s = spec(theta, n, a, b)
+                scale = (b - a) ** (n + 1) / (math.factorial(n) * 2.0**n)
+                pairs = zip(astuple(kernel_stats_closed(s)), astuple(kernel_stats_brute(s)))
+                for x, y in pairs:
+                    if x is None:  # centered_max_abs at odd n
+                        assert y is None and n % 2 == 1
+                        continue
+                    assert abs(x - y) <= 1e-10 * max(abs(x), abs(y)) + 1e-13 * scale, (s, x, y)
+    for n in range(85, 99):
+        for theta in grid:
+            s = spec(theta, n, 0.0, 30.0)
+            closed, brute = kernel_stats_closed(s), kernel_stats_brute(s)
+            for x, y in [(closed.l2_sq, brute.l2_sq), (closed.centered_l2_sq, brute.centered_l2_sq)]:
+                assert y > 0.0 and abs(x - y) <= 1e-10 * y, (s, x, y)
 
 
 @given(thetas, st.integers(min_value=0, max_value=3))
