@@ -269,15 +269,9 @@ def _one_sided(rate: float, band: DerivativeBand, spec: RuleSpec) -> tuple[float
             f"no valid side for the band certificate: no finite band edge bounds the "
             f"rate {rate!r}"
         )
-    width = spec.width
     sup = spec.stats.centered_max_abs if spec.n % 2 == 0 else spec.stats.max_abs
-
-    def budget(edge: float) -> float:
-        return abs(rate - edge) * width * sup
-
-    low = budget(band.gamma) if lower else None
-    high = budget(band.Gamma) if upper else None
-    on_lower = high is None or (low is not None and low <= high)
-    bound = low if on_lower else high
+    low = abs(rate - band.gamma) * spec.width * sup if lower else math.inf
+    high = abs(rate - band.Gamma) * spec.width * sup if upper else math.inf
+    bound = min(low, high)  # the lower side on a tie
     _check_bound(bound)
-    return bound, on_lower
+    return bound, low <= high

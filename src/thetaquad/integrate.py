@@ -6,12 +6,15 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import islice, repeat, tee
+from operator import add, lt, mul, sub, truediv
+from typing import Callable
 
 from . import bounds
 from .errors import ConvergenceError, ValidationError, check_int, check_interval
 from .kernel import RuleSpec, kernel_stats_brute
 from .poly import PiecewisePolynomial, _antiderivative_coeffs
-from .rules import Integrand, _rule_value
+from .rules import Integrand, _PerWidth, _rule_value
 
 __all__ = [
     "DEFAULT_ORACLE_TOL",
@@ -70,9 +73,7 @@ def _gl_panel(f, lo: float, hi: float) -> float:
 
 def _panel_edges(a: float, b: float, panels: int) -> list[float]:
     h = (b - a) / panels
-    edges = [a + i * h for i in range(panels)]
-    edges.append(b)
-    return edges
+    return [a + i * h for i in range(panels)] + [b]
 
 
 def reference_integral(
@@ -150,16 +151,15 @@ def _rule_panels(
     band: bounds.DerivativeBand | None = None,
 ) -> tuple[float, list[float], bool]:
     """The rule on a uniform partition: its value, one budget per panel, and
-    whether the value includes the perturbation.
+    whether the value includes the perturbation (see composite_integrate).
 
     ``perturbed`` folds each panel's perturbation (int K times the mean rate
     of f^(n)) into the value; with a ``certificate`` the value includes it
-    exactly when the certificate covers it.  Each distinct panel width gets
-    one RuleSpec and one ``bounds.certify``; a one-sided band
-    (``bounds.reads_rate``) budgets each panel with ``bounds._one_sided`` at
-    the panel's own rate.  f^(n-1) is read only where the certificate or the
-    value reads the rate, once per panel edge.  Panel values are reduced in
-    ascending order with compensated summation.
+    exactly when the certificate covers it.  One pass streams
+    ``rules._rule_value`` over the panels, reading derivative_fn itself where
+    ``Integrand._unchecked`` allows: a non-finite f or f^(n-1) then shows as
+    a refused rate, a non-finite total or a raising fsum, and the pass runs
+    again through ``Integrand._on``, which raises what eval_derivative raises.
     """
     check_int("panels", panels, 1)
     theta, n = spec.theta, spec.n
@@ -168,38 +168,44 @@ def _rule_panels(
     one_sided = bounds.reads_rate(certificate, n, band)
     ev = f._on(spec.a, spec.b)
     edges = _panel_edges(spec.a, spec.b, panels)
-    by_width: dict[float, tuple] = {}
-    values: list[float] = []
-    budgets: list[float] = []
-    left = None  # f^(n-1) at the panel's left end, if the panel before read it
+    his = edges[1:]  # the right edge of each panel
+    if not all(map(lt, edges, his)):
+        at = f"panels={panels} on [{spec.a!r}, {spec.b!r}]"
+        raise ValidationError(f"{at}: neighbouring panel edges round to the same float")
+    specs = _PerWidth(lambda w: RuleSpec(theta, n, 0.0, w))  # all three depend on w alone
+    certs = _PerWidth(lambda w: bounds.certify(specs[w], certificate, norms, band))
+    integrals = _PerWidth(lambda w: specs[w].stats.integral)
+    fixed = certificate is not None and not one_sided
+    budgets = [certs[hi - lo].bound for lo, hi in zip(edges, his)] if fixed else []
+    covers = certs[his[0] - edges[0]].covers_perturbed_rule if fixed else perturbed
 
-    def mean_rate(lo: float, hi: float) -> float:
-        nonlocal left
-        right = ev(n - 1, hi)
-        rate = (right - (ev(n - 1, lo) if left is None else left)) / (hi - lo)
-        left = right
-        return rate
+    def run(read: Callable[[int, float], float]) -> tuple[float, list[float], bool]:
+        values = map(math.fsum, _rule_value(read, theta, n, edges))
+        if not (one_sided or covers):
+            return math.fsum(values), budgets, covers
+        lefts, rights = tee(map(read, repeat(n - 1), edges))  # f^(n-1) once per edge
+        rates = map(truediv, map(sub, islice(rights, 1, None), lefts), map(sub, his, edges))
+        if not one_sided:
+            perturbations = map(mul, map(integrals.__getitem__, map(sub, his, edges)), rates)
+            return math.fsum(map(add, values, perturbations)), budgets, covers
+        rated, kept, panel_budgets = {}, [], []
+        for w, rate in zip(map(sub, his, edges), rates):  # each panel certified before its value
+            if w not in rated:  # at the rate of the first panel of its width
+                datum = bounds.NormData(endpoint_diff_rate=rate)
+                cert = rated[w] = bounds.certify(specs[w], certificate, datum, band)
+            panel_budgets.append(bounds._one_sided(rate, band, specs[w])[0])
+            value = next(values)
+            kept.append(value + integrals[w] * rate if cert.covers_perturbed_rule else value)
+        return math.fsum(kept), panel_budgets, cert.covers_perturbed_rule
 
-    for lo, hi in zip(edges, edges[1:]):
-        entry = by_width.get(hi - lo)
-        if entry is None and not hi > lo:
-            at = f"panels={panels} on [{spec.a!r}, {spec.b!r}]"
-            raise ValidationError(f"{at}: neighbouring panel edges round to the same float")
-        pspec = RuleSpec(theta, n, lo, hi) if entry is None else entry[0]
-        rate = mean_rate(lo, hi) if one_sided else None
-        if entry is None:
-            datum = bounds.NormData(endpoint_diff_rate=rate) if one_sided else norms
-            cert = None if certificate is None else bounds.certify(pspec, certificate, datum, band)
-            entry = by_width[hi - lo] = (pspec, cert)
-        _, cert = entry
-        if cert is not None:
-            budgets.append(bounds._one_sided(rate, band, pspec)[0] if one_sided else cert.bound)
-            perturbed = cert.covers_perturbed_rule
-        value = math.fsum(_rule_value(ev, theta, n, lo, hi))
-        if perturbed:
-            value += pspec.stats.integral * (mean_rate(lo, hi) if rate is None else rate)
-        values.append(value)
-    return math.fsum(values), budgets, perturbed
+    if f._unchecked(spec.a, spec.b, n - 1):
+        try:
+            result = run(f.derivative_fn)
+            if math.isfinite(result[0]):
+                return result
+        except Exception:  # the checked pass below raises it again
+            pass
+    return run(ev)
 
 
 def true_error(
@@ -246,15 +252,15 @@ def composite_integrate(
 ) -> CompositeResult:
     """Apply the rule on a uniform partition and budget each panel.
 
-    ``certificate`` is a name in bounds.CERTIFICATES, certified once per
-    distinct panel width for every kind.  Norm inputs are global for [a, b]
-    and reused on every panel; that is conservative because every norm a
-    certificate consumes can only shrink on a subinterval (sigma included:
-    the panel-centred variance is at most the interval variance).  A
-    one-sided "band" (even n, or a half-infinite band at odd n) instead reads
-    each panel's own mean rate of f^(n), f^(n-1) being read once per panel
-    edge, and budgets the panel with the one ``bounds`` one-sided formula at
-    its width's kernel sup; ``norms.endpoint_diff_rate`` is never read.
+    ``certificate`` is a name in bounds.CERTIFICATES.  Norm inputs are global
+    for [a, b] and reused on every panel; that is conservative because every
+    norm a certificate consumes can only shrink on a subinterval (sigma
+    included: the panel-centred variance is at most the interval variance).
+    A one-sided "band" (``bounds.reads_rate``) instead reads each panel's own
+    mean rate of f^(n), certifies each width at its first panel's rate and
+    budgets every panel with ``bounds._one_sided``.  Each width's spec,
+    certificate and rule coefficients are formed once.  With P panels f is
+    read 3P times, f^(2i) P times, and f^(n-1) P + 1 times if the rate is.
     """
     if certificate is None:  # the panel loop reads None as "no certificate"
         raise ValidationError("composite_integrate needs a certificate kind")
@@ -374,7 +380,7 @@ def _end_to_end_error(spec: RuleSpec) -> float:
                     for i in range(order | 1, n, 2))
         return Fraction(h.numerator**m * s, h.denominator**m * t_den * math.factorial(m))
 
-    value = sum(_rule_value(derivative, Fraction(spec.theta), n, a, b))
+    value = sum(next(_rule_value(derivative, Fraction(spec.theta), n, [a, b])))
     if n % 2 == 0:
         int_k = derivative(n - 1, b) - derivative(n - 1, a)
         value += int_k * int_k / (b - a)

@@ -140,6 +140,8 @@ def kernel_stats_closed(spec: RuleSpec) -> KernelStats:
         denom = (2 * n + 1) * (2 * n - 1) * fact**2 * 2.0 ** (2 * n)
         if denom == math.inf:  # from n = 85 on: divide (n!)^2 out of the power first
             w_2n1, denom = w_2n1 / fact / fact, (2 * n + 1) * (2 * n - 1) * 2.0 ** (2 * n)
+        if bracket * w_2n1 == math.inf:  # divide first only where the product overflows
+            w_2n1, denom = w_2n1 / denom, 1.0
         l2_sq = centered_l2_sq = bracket * w_2n1 / denom
         integral, centered = 0.0, None
         if n % 2 == 0:

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from itertools import islice
+from typing import Callable, Iterator
 
 from .errors import CapabilityError, DomainError, ValidationError, check_int, check_interval
 from .kernel import RuleSpec
@@ -62,7 +63,8 @@ class Integrand:
 
     ``eval_derivative`` checks all of this on every call.  The rules and the
     oracle read f through ``_on(a, b)``, which checks [a, b] once, then per
-    call the order, x and finiteness, and hands any failure to it.
+    call the order, x and finiteness, and hands any failure to it; the panel
+    loop reads derivative_fn itself where ``_unchecked`` allows.
     """
 
     derivative_fn: Callable[[int, float], float]
@@ -111,6 +113,13 @@ class Integrand:
 
         return ev
 
+    def _unchecked(self, a: float, b: float, order: int) -> bool:
+        """Whether derivative_fn passes every check but finiteness at orders up
+        to ``order``, at the points of [a, b] and at midpoints of two of them."""
+        lo, hi = self.domain
+        capable = self.max_order is None or order <= self.max_order
+        return capable and lo <= a and b <= hi and math.isfinite(a + a) and math.isfinite(b + b)
+
 
 @dataclass(frozen=True)
 class QuadratureResult:
@@ -134,30 +143,44 @@ def _mean_rate(f: Callable, n: int, a: float, b: float) -> float:
     return (f(n - 1, b) - f(n - 1, a)) / (b - a)
 
 
-def _rule_value(f: Callable, theta, n: int, a, b) -> list:
-    """[base, *corrections], F_n being their sum; f(k, x) is f^(k)(x).
+class _PerWidth(dict):
+    """make(w) for each panel width w, formed on the first read of w."""
 
-    The corrections are those of the module docstring, so theta = 1/3
-    zeroes the first (Simpson) and theta = 1/5 the second.  Integer literals
-    only, so Fractions stay exact (the sharpness check sums them itself) and
-    floats keep their bits (callers use ``math.fsum``).
+    def __init__(self, make: Callable) -> None:
+        self.make = make
+
+    def __missing__(self, w):
+        value = self[w] = self.make(w)
+        return value
+
+
+def _rule_value(f: Callable, theta, n: int, edges: list) -> Iterator[list]:
+    """[base, *corrections] of each panel between consecutive ``edges``, F_n
+    being their sum; f(k, x) is f^(k)(x), read as each panel is reached:
+    f(mid), f(lo), f(hi), then f^(2)(mid), f^(4)(mid), ...
+
+    The corrections are those of the module docstring, so theta = 1/3 zeroes
+    the first (Simpson) and theta = 1/5 the second; their coefficients are
+    formed once per panel width.  Integer literals only, so Fractions stay
+    exact and floats keep their bits (callers use ``math.fsum``).
     """
-    w, mid = b - a, (a + b) / 2
-    fm = f(0, mid)
-    fa = f(0, a)
-    fb = f(0, b)
-    terms = [w * ((1 - theta) * fm + theta / 2 * (fa + fb))]
-    for i in range(1, (n - 1) // 2 + 1):
-        k = 2 * i + 1
-        terms.append((1 - theta * k) * w**k / (math.factorial(k) * 4**i) * f(2 * i, mid))
-    return terms
+    keep, blend = 1 - theta, theta / 2
+    coefficients = _PerWidth(lambda w: [  # (1 - theta k) w^k / (k! 4^i) with k = 2i + 1
+        ((1 - theta * k) * w**k / (math.factorial(k) * 4 ** (k // 2)), k - 1)
+        for k in range(3, n + 1, 2)])
+    for lo, hi in zip(edges, islice(edges, 1, None)):
+        w, mid = hi - lo, (lo + hi) / 2
+        terms = [w * (keep * f(0, mid) + blend * (f(0, lo) + f(0, hi)))]
+        for coefficient, order in coefficients[w] if n > 2 else ():
+            terms.append(coefficient * f(order, mid))
+        yield terms
 
 
 def apply_rule(f: Integrand, spec: RuleSpec) -> QuadratureResult:
     """Evaluate the corrected rule on [spec.a, spec.b]; at even n the
     perturbation is int K times the mean of f^(n), (f^(n-1)(b) - f^(n-1)(a)) / (b - a)."""
     ev = f._on(spec.a, spec.b)
-    terms = _rule_value(ev, spec.theta, spec.n, spec.a, spec.b)
+    terms = next(_rule_value(ev, spec.theta, spec.n, [spec.a, spec.b]))
     perturbation = None
     if spec.n % 2 == 0:
         perturbation = spec.stats.integral * _mean_rate(ev, spec.n, spec.a, spec.b)

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from decimal import Decimal, localcontext
@@ -260,6 +261,54 @@ def test_composite_evaluates_the_rate_only_where_it_is_read(n, certificate, rate
     assert calls[n - 1] == rate_calls
 
 
+@pytest.mark.parametrize("panels", [10, 37])
+def test_composite_evaluation_counts_per_order(panels):
+    """Every kind, n = 1..8: 3P reads of f, P of each f^(2i)(mid) the
+    corrections read, and P + 1 of f^(n-1) where the rate is read (one-sided
+    band, or a value that folds in the perturbation), none where not."""
+    fn, a, b = Sine(1.3), -0.4, 1.9
+    for n in range(1, 9):
+        norms, band = fn.norm_data(n, a, b), fn.band(n, a, b)
+        cases = [(kind, band) for kind in CERTIFICATES]
+        cases.append(("band", DerivativeBand(band.gamma, math.inf, n)))
+        for kind, kind_band in cases:
+            calls = Counter()
+
+            def derivative_fn(order, x):
+                calls[order] += 1
+                return fn.derivative(order, x)
+
+            res = composite_integrate(Integrand(derivative_fn, (a, b)), spec(0.3, n, a, b),
+                                      panels, kind, norms=norms, band=kind_band)
+            expected = Counter({0: 3 * panels})
+            for order in range(2, n, 2):
+                expected[order] += panels
+            if bounds.reads_rate(kind, n, kind_band) or res.covers_perturbed_rule:
+                expected[n - 1] += panels + 1
+            assert calls == expected, (n, kind, kind_band)
+
+
+def test_composite_memory_per_panel():
+    """The panel loop streams its nodes and rates: at 8000 panels its
+    tracemalloc peak stays within 144 bytes per panel for every kind, the
+    edges, the budgets and the result included."""
+    fn, a, b, panels = Sine(1.3), -0.4, 1.9, 8000
+    for n in (3, 4):
+        norms, band = fn.norm_data(n, a, b), fn.band(n, a, b)
+        cases = [(kind, band) for kind in CERTIFICATES]
+        cases.append(("band", DerivativeBand(band.gamma, math.inf, n)))
+        for kind, kind_band in cases:
+            f, s = fn.integrand(a, b), spec(0.3, n, a, b)
+            composite_integrate(f, s, 2, kind, norms=norms, band=kind_band)
+            tracemalloc.start()
+            try:
+                composite_integrate(f, s, panels, kind, norms=norms, band=kind_band)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 144 * panels, (n, kind, kind_band, peak / panels)
+
+
 @pytest.mark.parametrize(
     "fn, a, b, panels",
     [(PolynomialFunction((0.3, -1.0, 0.5, 2.0, -0.7, 0.1, 0.4)), 0.1, 0.7, 7),
@@ -284,7 +333,7 @@ def test_one_certificate_per_width_equals_the_per_panel_definition(monkeypatch, 
     edges = [a + i * h for i in range(panels)] + [b]
     widths = len({hi - lo for lo, hi in zip(edges, edges[1:])})
     assert widths > 1
-    for n in range(1, 7):
+    for n in range(1, 10):  # up to four correction columns
         norms, band = fn.norm_data(n, a, b), fn.band(n, a, b)
         half_infinite = [DerivativeBand(band.gamma, math.inf, n),
                          DerivativeBand(-math.inf, band.Gamma, n)]
@@ -452,6 +501,59 @@ def test_failed_evaluations_raise_the_eval_derivative_errors():
     with pytest.raises(DomainError, match=outside):
         composite_integrate(Exponential().integrand(0.0, 1.0), spec(0.5, 2, 0.0, 1.5), 3,
                             "linf", norms=norms)
+
+    def nan_at_one_correction_node(order, x):  # f''(0.55), the sixth panel's midpoint
+        return math.nan if order == 2 and 0.54 < x < 0.56 else math.exp(x)
+
+    f = Integrand(derivative_fn=nan_at_one_correction_node, domain=(0.0, 1.0))
+    with pytest.raises(ValidationError, match=r"^derivative of order 2 at x=0\.55 is nan$"):
+        composite_integrate(f, spec(0.5, 4), 10, "linf", norms=norms)
+
+    def nan_at_one_rate_edge(order, x):  # f'''(0.30000000000000004), an edge
+        return math.nan if order == 3 and 0.29 < x < 0.31 else math.exp(x)
+
+    f = Integrand(derivative_fn=nan_at_one_rate_edge, domain=(0.0, 1.0))
+    message = r"^derivative of order 3 at x=0\.30000000000000004 is nan$"
+    with pytest.raises(ValidationError, match=message):
+        composite_integrate(f, spec(0.5, 4), 10, "band", band=Exponential().band(4, 0.0, 1.0))
+
+    def raises_in_the_fourth_panel(order, x):
+        if 0.3 < x < 0.4:
+            raise KeyError("fourth panel")
+        return math.exp(x)
+
+    f = Integrand(derivative_fn=raises_in_the_fourth_panel, domain=(0.0, 1.0))
+    with pytest.raises(KeyError, match="fourth panel"):
+        composite_integrate(f, spec(0.5, 4), 10, "linf", norms=norms)
+
+    # Finite values whose panel terms, 1.5e308 each, overflow the panel's fsum
+    huge = Integrand(derivative_fn=lambda k, x: 3e307 if k == 0 else 2.88e307, domain=(0.0, 10.0))
+    with pytest.raises(OverflowError, match="^intermediate overflow in fsum$"):
+        composite_integrate(huge, spec(0.0, 3, 0.0, 10.0), 2, "linf", norms=norms)
+
+
+def test_too_wide_an_interval_names_the_kernel_statistics():
+    """Every panel is certified before its value is formed, so an interval
+    whose kernel statistics overflow reports that, not the overflow of a
+    correction coefficient w^3 on the way."""
+    zero = Integrand(derivative_fn=lambda k, x: 0.0, domain=(0.0, 1e200))
+    norms, band = NormData(l1=1.0, l2=1.0, linf=1.0, sigma=1.0), DerivativeBand(-1.0, 1.0, 4)
+    for kind in CERTIFICATES:
+        with pytest.raises(OverflowError, match=r"^kernel statistics at n=4 on an interval"):
+            composite_integrate(zero, spec(0.5, 4, 0.0, 1e200), 2, kind, norms=norms, band=band)
+
+
+def test_composite_clamps_nodes_in_the_domain_slack():
+    """An interval that overshoots the domain within its floating slack is
+    read as eval_derivative reads it: nodes beyond the domain are clamped
+    into it, never handed to derivative_fn as they are."""
+    b = 1.0 + 1e-13
+    s, norms = spec(0.5, 4, 0.0, b), NormData(linf=1.0)
+    slack = Integrand(derivative_fn=lambda k, x: x, domain=(0.0, 1.0))
+    clamped = Integrand(derivative_fn=lambda k, x: min(x, 1.0), domain=(0.0, b))
+    for panels in (1, 3):
+        res = composite_integrate(slack, s, panels, "linf", norms=norms)
+        assert res == composite_integrate(clamped, s, panels, "linf", norms=norms)
 
 
 def test_sup_certificate_keeps_the_plain_value_for_even_orders():

@@ -226,6 +226,23 @@ def test_closed_stats_match_brute_force_from_n_41_to_98():
                 assert y > 0.0 and abs(x - y) <= 1e-10 * y, (s, x, y)
 
 
+def test_closed_l2_stats_at_the_top_of_the_width_range():
+    """Where (b - a)^(2n+1) is finite but the bracket times it overflows, the
+    closed form divides first: l2_sq and centered_l2_sq stay finite and
+    match the exact oracle, as at n = 10 on [0, 4.756e14]."""
+    cases = [(1.0, 10, 4.756e14)]
+    for n in (1, 2, 3, 6, 11, 20, 40, 84, 90, 98):
+        width = 1.6e308 ** (1.0 / (2 * n + 1))
+        cases += [(theta, n, width) for theta in (0.0, 1.0 / 3.0, 0.5, 1.0)]
+    for theta, n, width in cases:
+        s = spec(theta, n, 0.0, width)
+        assert width ** (2 * n + 1) < math.inf, s
+        closed, brute = kernel_stats_closed(s), kernel_stats_brute(s)
+        for x, y in [(closed.l2_sq, brute.l2_sq), (closed.centered_l2_sq, brute.centered_l2_sq)]:
+            assert math.isfinite(x) and abs(x - y) <= 1e-10 * y, (s, x, y)
+    assert spec(1.0, 10, 0.0, 4.756e14).stats.l2_sq == pytest.approx(5.206050026593493e289, rel=1e-15)
+
+
 @given(thetas, st.integers(min_value=0, max_value=3))
 def test_odd_order_kernels_integrate_to_zero(theta, i):
     n = 2 * i + 1

@@ -266,7 +266,7 @@ def test_peano_identity_holds_exactly_in_fractions(n, data, a, width, theta):
     p = data.draw(st.lists(dyadic, min_size=degree + 1, max_size=degree + 1))
     b = a + width
     mid, c = (a + b) / 2, theta * n * width / 2
-    value = sum(_rule_value(lambda k, x: _poly_value(_poly_derivative(p, k), x), theta, n, a, b))
+    value = sum(next(_rule_value(lambda k, x: _poly_value(_poly_derivative(p, k), x), theta, n, [a, b])))
     p_n = _poly_derivative(p, n)
     kernel_integral = _poly_integral(_poly_mul(_kernel_half(n, a, a + c), p_n), a, mid)
     kernel_integral += _poly_integral(_poly_mul(_kernel_half(n, b, b - c), p_n), mid, b)
