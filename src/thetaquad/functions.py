@@ -40,6 +40,8 @@ __all__ = [
     "parse_function",
 ]
 
+_PHASE_GRID_LIMIT = 2**20  # most multiples of pi Sine lists for one interval
+
 
 class AnalyticFunction:
     """Shared assembly of exact norm data from per-function primitives.
@@ -149,12 +151,11 @@ class Sine(AnalyticFunction):
         w = self.omega
         j_lo = math.floor((w * a + phase) / math.pi) - 1
         j_hi = math.ceil((w * b + phase) / math.pi) + 1
-        points = []
-        for j in range(j_lo, j_hi + 1):
-            x = (j * math.pi - phase) / w
-            if a < x < b:
-                points.append(x)
-        return points
+        if j_hi - j_lo >= _PHASE_GRID_LIMIT:
+            raise ValidationError(f"sin with omega={w!r} on [{a!r}, {b!r}] lists "
+                                  f"more than {_PHASE_GRID_LIMIT} multiples of pi")
+        points = ((j * math.pi - phase) / w for j in range(j_lo, j_hi + 1))
+        return [x for x in points if a < x < b]
 
     def _critical_points(self, order: int, a: float, b: float) -> tuple[list, list]:
         stationary = self._phase_grid((order + 1) * math.pi / 2.0, a, b)

@@ -85,7 +85,8 @@ def reference_integral(
     successive refinements differ by less than ``tol * (1 + |result|)``.
     The refinement order is deterministic, so identical inputs give
     bit-identical output.  Hitting MAX_ORACLE_PANELS without meeting the
-    criterion raises ConvergenceError.  An empty interval gives 0.0.
+    criterion raises ConvergenceError.  An empty interval gives 0.0, and an
+    end of [a, b] outside the domain of ``f`` raises DomainError.
 
     The nodes and weights are committed, correctly rounded constants, so the
     result does not depend on a linear-algebra library.  It still depends on
@@ -99,20 +100,22 @@ def reference_integral(
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValidationError(f"tol must be positive, got {tol!r}")
 
-    ev = f._on(*f.domain)  # only the nodes themselves must lie in the domain
-    previous = _gl_panel(ev, a, b)
-    panels = 2
-    while panels <= MAX_ORACLE_PANELS:
-        edges = _panel_edges(a, b, panels)
-        value = math.fsum(_gl_panel(ev, lo, hi) for lo, hi in zip(edges, edges[1:]))
-        if abs(value - previous) < tol * (1.0 + abs(value)):
-            return value
-        previous = value
-        panels *= 2
-    raise ConvergenceError(
-        f"reference integral did not stabilize to tol={tol!r} within "
-        f"{MAX_ORACLE_PANELS} panels"
-    )
+    def run(read: Callable[[int, float], float]) -> tuple[float]:
+        raw = read is f.derivative_fn  # a non-finite level ends the first pass at once
+        if raw and b - a < 2**-32 * max(abs(a), abs(b)) + 2**-1000:
+            return (math.nan,)  # so narrow that nodes may round past [a, b]: read them checked
+        previous, panels = math.nan, 1
+        while panels <= MAX_ORACLE_PANELS:
+            edges = _panel_edges(a, b, panels)
+            value = math.fsum(_gl_panel(read, lo, hi) for lo, hi in zip(edges, edges[1:]))
+            if abs(value - previous) < tol * (1.0 + abs(value)) or raw and not math.isfinite(value):
+                return (value,)
+            previous = value
+            panels *= 2
+        raise ConvergenceError(f"reference integral did not stabilize to tol={tol!r} "
+                               f"within {MAX_ORACLE_PANELS} panels")
+
+    return f._read(a, b, 0, run)[0]
 
 
 def sigma_functional(
@@ -120,19 +123,23 @@ def sigma_functional(
 ) -> float:
     """sigma(f^(order)) = ||f^(order)||_2^2 - (1/(b-a)) (int f^(order))^2.
 
-    Both integrals come from the reference oracle at ``oracle_tol``.  The
+    Both integrals come from the reference oracle at ``oracle_tol``, which
+    reads f^(order) once per node for both through ``Integrand._read``.  The
     result is clamped to >= 0; a raw value below -1e-12 * ||g||_2^2 means the
     oracle output is inconsistent and triggers a warning before clamping.
     """
     check_int("order", order, 0)
     a, b = check_interval(a, b)
-    ev = f._on(a, b)
-    node = functools.cache(lambda x: ev(order, x))  # one evaluation per node for both
-    g = Integrand(lambda _k, x: node(x), (a, b), max_order=0)
-    g_sq = Integrand(lambda _k, x: node(x) ** 2, (a, b), max_order=0)
-    int_g = reference_integral(g, a, b, tol=oracle_tol)
-    int_g2 = reference_integral(g_sq, a, b, tol=oracle_tol)
-    raw = int_g2 - int_g * int_g / (b - a)
+
+    def run(read: Callable[[int, float], float]) -> tuple[float, float]:
+        node = functools.cache(lambda x: read(order, x))  # one evaluation per node for both
+        g = Integrand(lambda _k, x: node(x), (a, b), max_order=0)
+        g_sq = Integrand(lambda _k, x: node(x) ** 2, (a, b), max_order=0)
+        int_g = reference_integral(g, a, b, tol=oracle_tol)
+        int_g2 = reference_integral(g_sq, a, b, tol=oracle_tol)
+        return int_g2 - int_g * int_g / (b - a), int_g2
+
+    raw, int_g2 = f._read(a, b, order, run)
     if raw < -1e-12 * int_g2:
         warnings.warn(
             f"sigma functional came out negative ({raw!r}) beyond roundoff; clamping to 0",
@@ -156,30 +163,26 @@ def _rule_panels(
     ``perturbed`` folds each panel's perturbation (int K times the mean rate
     of f^(n)) into the value; with a ``certificate`` the value includes it
     exactly when the certificate covers it.  One pass streams
-    ``rules._rule_value`` over the panels, reading derivative_fn itself where
-    ``Integrand._unchecked`` allows: a non-finite f or f^(n-1) then shows as
-    a refused rate, a non-finite total or a raising fsum, and the pass runs
-    again through ``Integrand._on``, which raises what eval_derivative raises.
+    ``rules._rule_value`` over the panels, read through ``Integrand._read``.
     """
     check_int("panels", panels, 1)
     theta, n = spec.theta, spec.n
     if perturbed and n % 2 == 1:
         raise ValidationError(f"the perturbed rule needs even n, got n={n}")
     one_sided = bounds.reads_rate(certificate, n, band)
-    ev = f._on(spec.a, spec.b)
-    edges = _panel_edges(spec.a, spec.b, panels)
-    his = edges[1:]  # the right edge of each panel
-    if not all(map(lt, edges, his)):
-        at = f"panels={panels} on [{spec.a!r}, {spec.b!r}]"
-        raise ValidationError(f"{at}: neighbouring panel edges round to the same float")
     specs = _PerWidth(lambda w: RuleSpec(theta, n, 0.0, w))  # all three depend on w alone
     certs = _PerWidth(lambda w: bounds.certify(specs[w], certificate, norms, band))
     integrals = _PerWidth(lambda w: specs[w].stats.integral)
     fixed = certificate is not None and not one_sided
-    budgets = [certs[hi - lo].bound for lo, hi in zip(edges, his)] if fixed else []
-    covers = certs[his[0] - edges[0]].covers_perturbed_rule if fixed else perturbed
 
     def run(read: Callable[[int, float], float]) -> tuple[float, list[float], bool]:
+        edges = _panel_edges(spec.a, spec.b, panels)
+        his = edges[1:]  # the right edge of each panel
+        if not all(map(lt, edges, his)):
+            at = f"panels={panels} on [{spec.a!r}, {spec.b!r}]"
+            raise ValidationError(f"{at}: neighbouring panel edges round to the same float")
+        budgets = [certs[hi - lo].bound for lo, hi in zip(edges, his)] if fixed else []
+        covers = certs[his[0] - edges[0]].covers_perturbed_rule if fixed else perturbed
         values = map(math.fsum, _rule_value(read, theta, n, edges))
         if not (one_sided or covers):
             return math.fsum(values), budgets, covers
@@ -198,14 +201,7 @@ def _rule_panels(
             kept.append(value + integrals[w] * rate if cert.covers_perturbed_rule else value)
         return math.fsum(kept), panel_budgets, cert.covers_perturbed_rule
 
-    if f._unchecked(spec.a, spec.b, n - 1):
-        try:
-            result = run(f.derivative_fn)
-            if math.isfinite(result[0]):
-                return result
-        except Exception:  # the checked pass below raises it again
-            pass
-    return run(ev)
+    return f._read(spec.a, spec.b, n - 1, run)
 
 
 def true_error(

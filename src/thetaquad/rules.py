@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Iterator
 
-from .errors import CapabilityError, DomainError, ValidationError, check_int, check_interval
+from .errors import CapabilityError, ConvergenceError, DomainError, ValidationError
+from .errors import check_int, check_interval
 from .kernel import RuleSpec
 from .poly import domain_slack
 
@@ -61,10 +62,9 @@ class Integrand:
     floating slack at the endpoints.  A NaN or infinite derivative value is
     rejected, so no budget is ever stated for a non-finite rule value.
 
-    ``eval_derivative`` checks all of this on every call.  The rules and the
-    oracle read f through ``_on(a, b)``, which checks [a, b] once, then per
-    call the order, x and finiteness, and hands any failure to it; the panel
-    loop reads derivative_fn itself where ``_unchecked`` allows.
+    ``eval_derivative`` checks all of this on every call.  Every reader of f
+    goes through ``_read``: derivative_fn itself where the checks hold for a
+    whole interval, and a replay through eval_derivative if the pass fails.
     """
 
     derivative_fn: Callable[[int, float], float]
@@ -95,30 +95,28 @@ class Integrand:
             raise ValidationError(f"derivative of order {order} at x={x!r} is {value!r}")
         return value
 
-    def _on(self, a: float, b: float) -> Callable[[int, float], float]:
-        """eval_derivative for points of [a, b], with the checks hoisted."""
+    def _read(self, a: float, b: float, order: int, run: Callable[[Callable], tuple]) -> tuple:
+        """run(read), reading f^(k)(x) at k <= ``order`` and x in [a, b] or a
+        midpoint of two such x; run raises, or returns a tuple led by a
+        non-finite item, if a value read is non-finite.  An end of [a, b] outside
+        the padded domain raises the DomainError.  Where every other check
+        holds for such reads, run(derivative_fn) is kept if its first item is
+        finite, and a ConvergenceError from it is final; otherwise
+        run(eval_derivative) is returned as is."""
         for x in (a, b):
             if not self._padded[0] <= x <= self._padded[1]:
                 self.eval_derivative(0, x)  # raises the DomainError
-        fn, checked, isfinite = self.derivative_fn, self.eval_derivative, math.isfinite
-        lo, hi = self.domain
-        top = math.inf if self.max_order is None else self.max_order
-
-        def ev(order: int, x: float) -> float:
-            if order <= top and lo <= x <= hi:
-                value = fn(order, x)
-                if isfinite(value):
-                    return value
-            return checked(order, x)
-
-        return ev
-
-    def _unchecked(self, a: float, b: float, order: int) -> bool:
-        """Whether derivative_fn passes every check but finiteness at orders up
-        to ``order``, at the points of [a, b] and at midpoints of two of them."""
         lo, hi = self.domain
         capable = self.max_order is None or order <= self.max_order
-        return capable and lo <= a and b <= hi and math.isfinite(a + a) and math.isfinite(b + b)
+        if capable and lo <= a and b <= hi and math.isfinite(a + a) and math.isfinite(b + b):
+            try:
+                result = run(self.derivative_fn)
+                if math.isfinite(result[0]):
+                    return result
+            except Exception as error:  # the checked pass below raises it again
+                if isinstance(error, ConvergenceError):  # every value read was finite
+                    raise
+        return run(self.eval_derivative)
 
 
 @dataclass(frozen=True)
@@ -179,9 +177,13 @@ def _rule_value(f: Callable, theta, n: int, edges: list) -> Iterator[list]:
 def apply_rule(f: Integrand, spec: RuleSpec) -> QuadratureResult:
     """Evaluate the corrected rule on [spec.a, spec.b]; at even n the
     perturbation is int K times the mean of f^(n), (f^(n-1)(b) - f^(n-1)(a)) / (b - a)."""
-    ev = f._on(spec.a, spec.b)
-    terms = next(_rule_value(ev, spec.theta, spec.n, [spec.a, spec.b]))
-    perturbation = None
-    if spec.n % 2 == 0:
-        perturbation = spec.stats.integral * _mean_rate(ev, spec.n, spec.a, spec.b)
+
+    def run(read: Callable[[int, float], float]) -> tuple[float, list, float | None]:
+        terms = next(_rule_value(read, spec.theta, spec.n, [spec.a, spec.b]))
+        if spec.n % 2:
+            return math.fsum(terms), terms, None
+        perturbation = spec.stats.integral * _mean_rate(read, spec.n, spec.a, spec.b)
+        return math.fsum(terms) + perturbation, terms, perturbation
+
+    _, terms, perturbation = f._read(spec.a, spec.b, spec.n - 1, run)
     return QuadratureResult(terms[0], tuple(terms[1:]), math.fsum(terms), perturbation, spec)

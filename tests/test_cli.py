@@ -481,6 +481,10 @@ def test_negative_values_in_every_form_parse_as_values(capsys, argv, flag):
          "--bogus", "-inf"],  # an unknown flag, even before a negative value
         ["kernel", "--n", "2", "--theta", "0.5", "--a", "0", "--b", "1",
          "-1e-3"],  # a stray negative value
+        ["bound", "--f", "sin", "--n", "2", "--theta", "0.5", "--a", "1e307",
+         "--b", "1.5e307", "--bound", "linf"],  # sin's grid of multiples of pi is too long
+        ["integrate", "--f", "sin", "--n", "3", "--theta", "0.5", "--a", "0",
+         "--b", "3.3e6", "--bound", "band"],  # just past the limit of 2**20
     ],
 )
 def test_validation_failures_exit_2(capsys, argv):

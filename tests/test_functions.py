@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -181,6 +182,22 @@ def test_sine_sup_hits_interior_peak():
     band = Sine(3.0).band(1, -1.0, 2.0)
     assert band.gamma == pytest.approx(-3.0, rel=1e-13)
     assert band.Gamma == pytest.approx(3.0, rel=1e-13)
+
+
+def test_sine_refuses_an_interval_past_its_grid_limit(monkeypatch):
+    """Zeros and extrema come from listing the multiples of pi in omega [a, b];
+    past 2**20 of them the interval is refused before any is listed."""
+    for a, b in [(1e307, 1.5e307), (0.0, 3.3e6)]:
+        message = rf"^sin with omega=1\.0 on \[{re.escape(repr(a))}, {re.escape(repr(b))}\] lists"
+        with pytest.raises(ValidationError, match=message + r" more than 1048576 multiples of pi$"):
+            Sine(1.0).band(2, a, b)
+        with pytest.raises(ValidationError, match=message):
+            Sine(1.0).norm_data(2, a, b)
+    band = Sine(1.0).band(1, 0.0, 12.0)
+    monkeypatch.setattr(functions, "_PHASE_GRID_LIMIT", 8)
+    assert Sine(1.0).band(1, 0.0, 12.0) == band  # its zeros list 8: j = -1..6
+    with pytest.raises(ValidationError, match="more than 8 multiples of pi$"):
+        Sine(1.0).band(1, 0.0, 20.0)
 
 
 def test_sine_l1_via_arch_areas():

@@ -135,6 +135,61 @@ def test_oracle_raises_on_a_kink_at_tight_tolerance():
     assert MAX_ORACLE_PANELS >= 1024  # the cap that triggers the failure above
 
 
+def test_oracle_refuses_an_interval_outside_the_domain():
+    """The ends of [a, b] are checked as the rules check them, even where the
+    oracle would stop before any node left the domain; nodes within the
+    domain's slack are clamped into it."""
+    f = Integrand(lambda k, x: math.exp(x), (0.0, 1.0))
+    with pytest.raises(DomainError, match=r"^x=-0\.001 outside integrand domain \[0\.0, 1\.0\]$"):
+        reference_integral(f, -0.001, 1.0)
+    assert reference_integral(f, -1e-13, 1.0) == 1.718281828459145
+
+
+def test_oracle_reads_a_narrow_interval_inside_its_domain():
+    """On a panel a few ulps wide a node can round one float past [a, b],
+    near a power of two or among subnormals; such an interval is read as
+    eval_derivative reads it, clamped into the domain."""
+    for end in (-2.0, 1.0, 0.5, 1024.0, 2.0**-1060):
+        for k in range(1, 120, 3):
+            for a, b in [(end - k * math.ulp(end), end), (end, end + k * math.ulp(end))]:
+                reads = []
+                f = Integrand(lambda _k, x: reads.append(x) or math.atan(x), (a, b))
+                reference_integral(f, a, b)
+                assert a <= min(reads) and max(reads) <= b, (a, b)
+
+
+@pytest.mark.parametrize(
+    "fn, a, b, levels",
+    [(math.exp, 0.0, 1.0, 2), (lambda x: 1.0 / (1.0 + x * x), -5.0, 5.0, 4),
+     (lambda x: math.sin(100.0 * x), 0.0, 10.0, 8)],
+)
+def test_oracle_reads_each_node_of_each_level_once(fn, a, b, levels):
+    """A call that stops after L levels reads 15 (2^L - 1) values, the count
+    the benchmark's tracer turns back into levels."""
+    calls = Counter()
+
+    def derivative_fn(order, x):
+        calls[order] += 1
+        return fn(x)
+
+    reference_integral(Integrand(derivative_fn, (a, b)), a, b)
+    assert calls == {0: 15 * (2**levels - 1)}
+
+
+def test_a_non_converging_oracle_reads_every_level_once():
+    """All 13 levels, 1 to MAX_ORACLE_PANELS panels, are read once: the
+    ConvergenceError of a pass whose values were all finite is not replayed."""
+    calls = Counter()
+
+    def derivative_fn(order, x):
+        calls[order] += 1
+        return math.sin(30000.0 * x)
+
+    with pytest.raises(ConvergenceError):
+        reference_integral(Integrand(derivative_fn, (0.0, 10.0)), 0.0, 10.0)
+    assert calls == {0: 15 * (2 * MAX_ORACLE_PANELS - 1)} == {0: 122865}
+
+
 def test_true_error_for_the_worked_midpoint_example():
     f = Exponential().integrand(0.0, 1.0)
     err = true_error(f, spec(0.0, 2))
@@ -474,8 +529,9 @@ def test_nan_derivative_is_rejected_not_certified():
 
 
 def test_failed_evaluations_raise_the_eval_derivative_errors():
-    """The panel loop and the oracle skip the per-call checks only while they
-    pass; a failure raises what eval_derivative raises for that point."""
+    """The panel loop, apply_rule, the oracle and sigma_functional skip the
+    per-call checks only while they pass; a failure raises what
+    eval_derivative raises for that point."""
 
     def nan_at_the_end(order, x):
         return math.nan if x > 0.95 else math.exp(x)
@@ -490,12 +546,16 @@ def test_failed_evaluations_raise_the_eval_derivative_errors():
     with pytest.raises(CapabilityError, match=message):
         composite_integrate(capped, spec(0.5, 5), 10, "linf", norms=norms)
 
+    reads = Counter()
+
     def nan_near_three_quarters(order, x):  # first hit by the level-2 panels
+        reads[order] += 1
         return math.nan if 0.74 < x < 0.76 else math.exp(x)
 
     g = Integrand(derivative_fn=nan_near_three_quarters, domain=(0.0, 1.0))
     with pytest.raises(ValidationError, match=r"^derivative of order 0 at x=0\.75 is nan$"):
         reference_integral(g, 0.0, 1.0)
+    assert reads == {0: 45 + 38}  # the first pass stops at the NaN level, not at 4096 panels
 
     outside = r"^x=1\.5 outside integrand domain \[0\.0, 1\.0\]$"
     with pytest.raises(DomainError, match=outside):
@@ -525,6 +585,38 @@ def test_failed_evaluations_raise_the_eval_derivative_errors():
     f = Integrand(derivative_fn=raises_in_the_fourth_panel, domain=(0.0, 1.0))
     with pytest.raises(KeyError, match="fourth panel"):
         composite_integrate(f, spec(0.5, 4), 10, "linf", norms=norms)
+
+    def inf_third_derivative(order, x):
+        return math.inf if order == 3 else math.exp(x)
+
+    f = Integrand(derivative_fn=inf_third_derivative, domain=(0.0, 1.0))
+    with pytest.raises(ValidationError, match=r"^derivative of order 3 at x=1\.0 is inf$"):
+        apply_rule(f, spec(0.5, 4))
+
+    def nan_near_a_third(order, x):  # f''(0.3485...) is the first NaN node the oracle reads
+        return math.nan if order == 2 and 0.34 < x < 0.36 else math.exp(x)
+
+    f = Integrand(derivative_fn=nan_near_a_third, domain=(0.0, 1.0))
+    message = r"^derivative of order 2 at x=0\.3485378367693909 is nan$"
+    with pytest.raises(ValidationError, match=message):
+        sigma_functional(f, 2, 0.0, 1.0)
+
+    def raises_at_the_midpoint(order, x):
+        if x == 0.5:
+            raise KeyError("midpoint")
+        return math.exp(x)
+
+    with pytest.raises(KeyError, match="midpoint"):
+        reference_integral(Integrand(raises_at_the_midpoint, (0.0, 1.0)), 0.0, 1.0)
+
+    # Finite terms and perturbation whose sum overflows: apply_rule returns
+    # them as they are, where an fsum over all three raises OverflowError
+    def huge_midpoint(order, x):
+        return (1.79e308 if x == 0.5 else 0.0) if order == 0 else 1.7e308 * x
+
+    res = apply_rule(Integrand(huge_midpoint, (0.0, 1.0)), spec(0.0, 2))
+    assert (res.base_value, res.correction_terms, res.f_n_value) == (1.79e308, (), 1.79e308)
+    assert res.perturbation_term == res.spec.stats.integral * 1.7e308 == 7.083333333333332e306
 
     # Finite values whose panel terms, 1.5e308 each, overflow the panel's fsum
     huge = Integrand(derivative_fn=lambda k, x: 3e307 if k == 0 else 2.88e307, domain=(0.0, 10.0))

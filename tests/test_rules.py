@@ -1,5 +1,6 @@
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -68,6 +69,24 @@ def test_rule_on_an_interval_outside_the_domain_is_rejected(a, b, x, n):
     outside = rf"^x={re.escape(repr(x))} outside integrand domain \[0\.0, 1\.0\]$"
     with pytest.raises(DomainError, match=outside):
         apply_rule(f, spec(0.5, n, a, b))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_apply_rule_reads_each_node_once(n):
+    """f at a, mid and b, each f^(2i) of the corrections at mid, and at even n
+    f^(n-1) at a and b for the perturbation: one read each."""
+    calls = Counter()
+
+    def derivative_fn(order, x):
+        calls[order, x] += 1
+        return math.exp(x)
+
+    apply_rule(Integrand(derivative_fn, (0.0, 1.0)), spec(0.3, n))
+    expected = Counter({(0, 0.0): 1, (0, 0.5): 1, (0, 1.0): 1})
+    expected.update((order, 0.5) for order in range(2, n, 2))
+    if n % 2 == 0:
+        expected.update([(n - 1, 0.0), (n - 1, 1.0)])
+    assert calls == expected
 
 
 def test_integrand_order_cap_is_enforced():
