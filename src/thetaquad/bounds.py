@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ValidationError, check_int
 from .kernel import RuleSpec
@@ -69,6 +69,8 @@ class NormData:
     endpoint_diff_rate: float | None = None
     sigma: float | None = None
     provenance: str = "user-supplied"
+    # this NormData cut down to one field, per field a certificate reads (_datum)
+    _cut: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.provenance not in PROVENANCES:
@@ -196,12 +198,16 @@ def reads_rate(kind: str | None, n: int, band: DerivativeBand | None) -> bool:
 
 
 def _datum(spec: RuleSpec, kind: str, norms: NormData | None) -> tuple[float, NormData]:
-    """The NormData field certificate ``kind`` reads, and ``norms`` cut down to it."""
+    """The NormData field certificate ``kind`` reads, and ``norms`` cut down
+    to it, formed once per field of each NormData."""
     field = CERTIFICATES[kind]
     value = None if norms is None else getattr(norms, field)
     if value is None:
         raise ValidationError(f"certificate {kind!r} at n={spec.n} needs NormData.{field}")
-    return value, NormData(**{field: value}, provenance=norms.provenance)
+    datum = norms._cut.get(field)
+    if datum is None:
+        datum = norms._cut[field] = NormData(**{field: value}, provenance=norms.provenance)
+    return value, datum
 
 
 def certify(
@@ -251,27 +257,38 @@ def certify(
         bound = 0.5 * (band.Gamma - band.gamma) * spec.stats.abs_integral
         return _certificate(CertificateKind.BAND_ODD, spec, bound, band=band)
     rate, datum = _datum(spec, kind, norms)
-    bound, lower = _one_sided(rate, band, spec)
+    (bound,), (lower,) = _one_sided(band, [rate], [spec.width], {spec.width: spec})
     side = DerivativeBand(*((band.gamma, math.inf) if lower else (-math.inf, band.Gamma)), spec.n)
     theorem = CertificateKind.PERTURBED_EVEN if even else CertificateKind.ONE_SIDED_ODD
     return _certificate(theorem, spec, bound, datum, side, covers_perturbed_rule=even)
 
 
-def _one_sided(rate: float, band: DerivativeBand, spec: RuleSpec) -> tuple[float, bool]:
-    """(budget, lower side?) of certify's one-sided band bound, which the
-    panel loop forms here too; rate and side are checked before spec.stats,
-    and the budget as ErrorCertificate checks it."""
-    _check_rate(rate)
-    lower = math.isfinite(band.gamma) and rate >= band.gamma
-    upper = math.isfinite(band.Gamma) and band.Gamma >= rate
-    if not (lower or upper):
-        raise ValidationError(
-            f"no valid side for the band certificate: no finite band edge bounds the "
-            f"rate {rate!r}"
-        )
-    sup = spec.stats.centered_max_abs if spec.n % 2 == 0 else spec.stats.max_abs
-    low = abs(rate - band.gamma) * spec.width * sup if lower else math.inf
-    high = abs(rate - band.Gamma) * spec.width * sup if upper else math.inf
-    bound = min(low, high)  # the lower side on a tie
-    _check_bound(bound)
-    return bound, low <= high
+def _one_sided(band: DerivativeBand, rates, widths, specs) -> tuple[list[float], list[bool]]:
+    """Budgets and sides (True: the lower edge) of certify's one-sided band
+    bound, one per rate and width, specs[w] being the spec of width w; the
+    panel loop forms a block of panels' budgets here.  Each rate and side is
+    checked before the stats of its spec, and each budget as
+    ErrorCertificate checks it."""
+    gamma, Gamma = band.gamma, band.Gamma
+    has_lower, has_upper = math.isfinite(gamma), math.isfinite(Gamma)
+    sups, budgets, lowers = {}, [], []
+    for rate, w in zip(rates, widths):
+        _check_rate(rate)
+        lower = has_lower and rate >= gamma
+        upper = has_upper and Gamma >= rate
+        if not (lower or upper):
+            raise ValidationError(
+                f"no valid side for the band certificate: no finite band edge bounds the "
+                f"rate {rate!r}"
+            )
+        sup = sups.get(w)
+        if sup is None:
+            spec = specs[w]
+            sup = sups[w] = spec.stats.centered_max_abs if spec.n % 2 == 0 else spec.stats.max_abs
+        low = abs(rate - gamma) * w * sup if lower else math.inf
+        high = abs(rate - Gamma) * w * sup if upper else math.inf
+        bound = min(low, high)  # the lower side on a tie
+        _check_bound(bound)
+        budgets.append(bound)
+        lowers.append(low <= high)
+    return budgets, lowers

@@ -22,13 +22,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable
 
 from .bounds import DerivativeBand, NormData
 from .errors import ValidationError, check_int, check_interval
 from .poly import (
     _chain_roots, _derivative_chain, _horner, _integral_on, _poly_mul, _taylor_shift,
 )
-from .rules import Integrand, _mean_rate
+from .rules import Integrand, _Memo, _mean_rate
 
 __all__ = [
     "AnalyticFunction",
@@ -46,18 +48,31 @@ _PHASE_GRID_LIMIT = 2**20  # most multiples of pi Sine lists for one interval
 class AnalyticFunction:
     """Shared assembly of exact norm data from per-function primitives.
 
-    Subclasses provide ``derivative``, the interior stationary points and
-    zeros of a given derivative order (one call, so that both can come from
-    one computation), and the closed-form squared l2 norm;
-    everything else (band via candidate evaluation, l1 via splitting at
-    zeros and differencing the antiderivative, sigma via the mean rate)
-    is generic.
+    Subclasses provide ``_formula``, f^(order) as a function of x with its
+    per-order constants formed once, which ``derivative`` (one point) and
+    ``derivatives`` (a list of points) both evaluate; the interior
+    stationary points and zeros of a given derivative order (one call, so
+    that both can come from one computation), and the closed-form squared
+    l2 norm; everything else (band via candidate evaluation, l1 via
+    splitting at zeros and differencing the antiderivative, sigma via the
+    mean rate) is generic.
     """
 
     name = "?"
 
-    def derivative(self, order: int, x: float) -> float:
+    def _formula(self, order: int) -> Callable[[float], float]:
         raise NotImplementedError
+
+    @cached_property
+    def _formulas(self) -> _Memo:
+        """_formula(order) for each order read, formed on its first read."""
+        return _Memo(self._formula)
+
+    def derivative(self, order: int, x: float) -> float:
+        return self._formulas[order](x)
+
+    def derivatives(self, order: int, xs: list) -> list:
+        return list(map(self._formulas[order], xs))
 
     def _critical_points(self, order: int, a: float, b: float) -> tuple[list, list]:
         """Interior stationary points and interior zeros of f^(order) on (a, b)."""
@@ -74,7 +89,7 @@ class AnalyticFunction:
 
     def integrand(self, a: float, b: float) -> Integrand:
         a, b = check_interval(a, b)
-        return Integrand(derivative_fn=self.derivative, domain=(a, b))
+        return Integrand(self.derivative, (a, b), derivatives_fn=self.derivatives)
 
     def band(self, order: int, a: float, b: float) -> DerivativeBand:
         check_int("derivative order", order, 1)
@@ -82,13 +97,13 @@ class AnalyticFunction:
         return self._band(order, a, b, self._critical_points(order, a, b)[0])
 
     def _band(self, order: int, a: float, b: float, stationary: list) -> DerivativeBand:
-        values = [self.derivative(order, x) for x in (a, b, *stationary)]
+        values = self.derivatives(order, [a, b, *stationary])
         return DerivativeBand(gamma=min(values), Gamma=max(values), order=order)
 
     def endpoint_diff_rate(self, order: int, a: float, b: float) -> float:
         check_int("derivative order", order, 1)
         a, b = check_interval(a, b)
-        return _mean_rate(self.derivative, order, a, b)
+        return _mean_rate(self.derivatives, order, a, b)
 
     def norm_data(self, order: int, a: float, b: float) -> NormData:
         check_int("derivative order", order, 1)
@@ -119,8 +134,11 @@ class Exponential(AnalyticFunction):
 
     name = "exp"
 
+    def _formula(self, order: int) -> Callable[[float], float]:
+        return math.exp
+
     def derivative(self, order: int, x: float) -> float:
-        return math.exp(x)
+        return math.exp(x)  # _formula(order)(x), without looking the order up
 
     def _critical_points(self, order: int, a: float, b: float) -> tuple[list, list]:
         return [], []
@@ -143,8 +161,10 @@ class Sine(AnalyticFunction):
     def name(self) -> str:  # type: ignore[override]
         return "sin" if self.omega == 1.0 else f"sin({self.omega:g}x)"
 
-    def derivative(self, order: int, x: float) -> float:
-        return self.omega**order * math.sin(self.omega * x + order * math.pi / 2.0)
+    def _formula(self, order: int) -> Callable[[float], float]:
+        w, sin = self.omega, math.sin
+        scale, phase = w**order, order * math.pi / 2.0
+        return lambda x: scale * sin(w * x + phase)
 
     def _phase_grid(self, phase: float, a: float, b: float) -> list[float]:
         """Solutions of omega x + phase = j pi strictly inside (a, b)."""
@@ -182,14 +202,15 @@ class Runge(AnalyticFunction):
     def _t(x: float) -> float:
         return math.atan2(1.0, x)
 
-    def derivative(self, order: int, x: float) -> float:
-        t = self._t(x)
-        return (
-            (-1.0) ** order
-            * math.factorial(order)
-            * math.sin(t) ** (order + 1)
-            * math.sin((order + 1) * t)
-        )
+    def _formula(self, order: int) -> Callable[[float], float]:
+        scale, m = (-1.0) ** order * math.factorial(order), order + 1
+        sin, atan2 = math.sin, math.atan2
+
+        def at(x: float) -> float:
+            t = atan2(1.0, x)  # as _t does
+            return scale * sin(t) ** m * sin(m * t)
+
+        return at
 
     @staticmethod
     def _cot_grid(parts: int, a: float, b: float) -> list[float]:
@@ -255,8 +276,8 @@ class PolynomialFunction(AnalyticFunction):
     def _coeffs_of_order(self, order: int) -> tuple[float, ...]:
         return self._chain[order] if order < len(self._chain) else (0.0,)
 
-    def derivative(self, order: int, x: float) -> float:
-        return _horner(self._coeffs_of_order(order), x)
+    def _formula(self, order: int) -> Callable[[float], float]:
+        return partial(_horner, self._coeffs_of_order(order))
 
     def _critical_points(self, order: int, a: float, b: float) -> tuple[list, list]:
         return _chain_roots(self._chain[order:], a, b)

@@ -6,15 +6,15 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import islice, repeat, tee
-from operator import add, lt, mul, sub, truediv
+from itertools import chain, islice
+from operator import add, attrgetter, lt, mul, sub, truediv
 from typing import Callable
 
 from . import bounds
 from .errors import ConvergenceError, ValidationError, check_int, check_interval
 from .kernel import RuleSpec, kernel_stats_brute
 from .poly import PiecewisePolynomial, _antiderivative_coeffs
-from .rules import Integrand, _PerWidth, _rule_value
+from .rules import Integrand, _coefficients, _finite, _Memo, _rule_terms
 
 __all__ = [
     "DEFAULT_ORACLE_TOL",
@@ -34,6 +34,11 @@ DEFAULT_ORACLE_TOL = 1e-12
 
 #: Panel cap of the reference oracle; exceeding it raises ConvergenceError.
 MAX_ORACLE_PANELS = 4096
+
+# Panels whose nodes are read as one column, in the panel loop and the oracle:
+# enough to amortise a read, few enough to keep their memory small.
+_BLOCK = 256
+_INTEGRAL, _BOUND = attrgetter("stats.integral"), attrgetter("bound")
 
 # 15-point Gauss-Legendre rule on [-1, 1], ascending nodes.  The rule is
 # symmetric, so only the nodes x >= 0 and their weights are written out.  Each
@@ -64,11 +69,13 @@ _GL_NODES = tuple(-x for x in reversed(_GL_HALF_NODES[1:])) + _GL_HALF_NODES
 _GL_WEIGHTS = tuple(reversed(_GL_HALF_WEIGHTS[1:])) + _GL_HALF_WEIGHTS
 
 
-def _gl_panel(f, lo: float, hi: float) -> float:
-    """The 15-node rule on [lo, hi]; f(k, x) is f^(k)(x)."""
-    half = 0.5 * (hi - lo)
-    center = 0.5 * (hi + lo)
-    return half * math.fsum(w * f(0, center + half * x) for x, w in zip(_GL_NODES, _GL_WEIGHTS))
+def _gl_panels(column, edges: list) -> list[float]:
+    """The 15-node rule on each panel between consecutive ``edges``;
+    column(k, xs) lists f^(k)(x) for x in xs, here read once."""
+    halves = [0.5 * (hi - lo) for lo, hi in zip(edges, islice(edges, 1, None))]
+    centers = [0.5 * (hi + lo) for lo, hi in zip(edges, islice(edges, 1, None))]
+    values = iter(column(0, [c + h * x for c, h in zip(centers, halves) for x in _GL_NODES]))
+    return [h * math.fsum(map(mul, _GL_WEIGHTS, islice(values, len(_GL_NODES)))) for h in halves]
 
 
 def _panel_edges(a: float, b: float, panels: int) -> list[float]:
@@ -100,15 +107,18 @@ def reference_integral(
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValidationError(f"tol must be positive, got {tol!r}")
 
-    def run(read: Callable[[int, float], float]) -> tuple[float]:
-        raw = read is f.derivative_fn  # a non-finite level ends the first pass at once
-        if raw and b - a < 2**-32 * max(abs(a), abs(b)) + 2**-1000:
+    def run(column: Callable, checked: bool) -> tuple[float]:
+        # a non-finite level ends the first pass at once
+        if not checked and b - a < 2**-32 * max(abs(a), abs(b)) + 2**-1000:
             return (math.nan,)  # so narrow that nodes may round past [a, b]: read them checked
+        step = 1 if checked else _BLOCK
         previous, panels = math.nan, 1
         while panels <= MAX_ORACLE_PANELS:
             edges = _panel_edges(a, b, panels)
-            value = math.fsum(_gl_panel(read, lo, hi) for lo, hi in zip(edges, edges[1:]))
-            if abs(value - previous) < tol * (1.0 + abs(value)) or raw and not math.isfinite(value):
+            value = math.fsum(chain.from_iterable(
+                _gl_panels(column, edges[i:i + step + 1]) for i in range(0, panels, step)))
+            if abs(value - previous) < tol * (1.0 + abs(value)) or not (
+                    checked or math.isfinite(value)):
                 return (value,)
             previous = value
             panels *= 2
@@ -131,8 +141,8 @@ def sigma_functional(
     check_int("order", order, 0)
     a, b = check_interval(a, b)
 
-    def run(read: Callable[[int, float], float]) -> tuple[float, float]:
-        node = functools.cache(lambda x: read(order, x))  # one evaluation per node for both
+    def run(column: Callable, _checked: bool) -> tuple[float, float]:
+        node = functools.cache(lambda x: column(order, [x])[0])  # one evaluation per node for both
         g = Integrand(lambda _k, x: node(x), (a, b), max_order=0)
         g_sq = Integrand(lambda _k, x: node(x) ** 2, (a, b), max_order=0)
         int_g = reference_integral(g, a, b, tol=oracle_tol)
@@ -162,46 +172,67 @@ def _rule_panels(
 
     ``perturbed`` folds each panel's perturbation (int K times the mean rate
     of f^(n)) into the value; with a ``certificate`` the value includes it
-    exactly when the certificate covers it.  One pass streams
-    ``rules._rule_value`` over the panels, read through ``Integrand._read``.
+    exactly when the certificate covers it.  One pass walks the panels in
+    blocks of _BLOCK, reading each column of ``rules._rule_terms`` once per
+    block through ``Integrand._read``; f^(n-1) at a block's last edge is kept
+    for the next.  A non-finite value raises OverflowError.
     """
     check_int("panels", panels, 1)
     theta, n = spec.theta, spec.n
     if perturbed and n % 2 == 1:
         raise ValidationError(f"the perturbed rule needs even n, got n={n}")
     one_sided = bounds.reads_rate(certificate, n, band)
-    specs = _PerWidth(lambda w: RuleSpec(theta, n, 0.0, w))  # all three depend on w alone
-    certs = _PerWidth(lambda w: bounds.certify(specs[w], certificate, norms, band))
-    integrals = _PerWidth(lambda w: specs[w].stats.integral)
+    # the spec of each panel width: spec itself if as wide, else kept with spec across calls
+    specs = _Memo(lambda w: spec if w == spec.width else spec._panels(panels)[w])
+    certs = _Memo(lambda w: bounds.certify(specs[w], certificate, norms, band))
+    coefficients = _coefficients(theta, n)
     fixed = certificate is not None and not one_sided
 
-    def run(read: Callable[[int, float], float]) -> tuple[float, list[float], bool]:
+    def run(column: Callable, checked: bool) -> tuple[float, list[float], bool]:
         edges = _panel_edges(spec.a, spec.b, panels)
-        his = edges[1:]  # the right edge of each panel
-        if not all(map(lt, edges, his)):
+        if not all(map(lt, edges, islice(edges, 1, None))):
             at = f"panels={panels} on [{spec.a!r}, {spec.b!r}]"
             raise ValidationError(f"{at}: neighbouring panel edges round to the same float")
-        budgets = [certs[hi - lo].bound for lo, hi in zip(edges, his)] if fixed else []
-        covers = certs[his[0] - edges[0]].covers_perturbed_rule if fixed else perturbed
-        values = map(math.fsum, _rule_value(read, theta, n, edges))
-        if not (one_sided or covers):
-            return math.fsum(values), budgets, covers
-        lefts, rights = tee(map(read, repeat(n - 1), edges))  # f^(n-1) once per edge
-        rates = map(truediv, map(sub, islice(rights, 1, None), lefts), map(sub, his, edges))
-        if not one_sided:
-            perturbations = map(mul, map(integrals.__getitem__, map(sub, his, edges)), rates)
-            return math.fsum(map(add, values, perturbations)), budgets, covers
-        rated, kept, panel_budgets = {}, [], []
-        for w, rate in zip(map(sub, his, edges), rates):  # each panel certified before its value
-            if w not in rated:  # at the rate of the first panel of its width
-                datum = bounds.NormData(endpoint_diff_rate=rate)
-                cert = rated[w] = bounds.certify(specs[w], certificate, datum, band)
-            panel_budgets.append(bounds._one_sided(rate, band, specs[w])[0])
-            value = next(values)
-            kept.append(value + integrals[w] * rate if cert.covers_perturbed_rule else value)
-        return math.fsum(kept), panel_budgets, cert.covers_perturbed_rule
+        widths = map(sub, islice(edges, 1, None), edges)
+        budgets = list(map(_BOUND, map(certs.__getitem__, widths))) if fixed else []
+        covers = certs[edges[1] - edges[0]].covers_perturbed_rule if fixed else perturbed
+        step = 1 if checked else _BLOCK  # one panel at a time: the order errors are raised in
+        ends, rated = [], {}  # f^(n-1) at the last edge read; a one-sided certificate per width
 
-    return f._read(spec.a, spec.b, n - 1, run)
+        def rates_of(i: int, ws: list) -> list[float]:  # f^(n-1) once per edge
+            ends.extend(column(n - 1, edges[i + len(ends):i + len(ws) + 1]))
+            rates = list(map(truediv, map(sub, islice(ends, 1, None), ends), ws))
+            del ends[:-1]
+            return rates
+
+        def block(i: int):  # the values of the panels from edges[i] on
+            nonlocal covers
+            his = edges[i + 1:i + step + 1]
+            los = edges[i:i + len(his)]
+            ws = list(map(sub, his, los))
+            if one_sided:  # each width certified, at its first panel's rate, before any value
+                rates = rates_of(i, ws)
+                for w, rate in zip(ws, rates):
+                    if w not in rated:
+                        datum = bounds.NormData(endpoint_diff_rate=rate)
+                        rated[w] = bounds.certify(specs[w], certificate, datum, band)
+                        covers = rated[w].covers_perturbed_rule
+                budgets.extend(bounds._one_sided(band, rates, ws, specs)[0])
+            values = list(map(math.fsum, zip(*_rule_terms(column, theta, n, los, his, ws,
+                                                           coefficients))))
+            if not covers:
+                return values
+            if not one_sided:  # the rates the values fold in, read after them
+                rates = rates_of(i, ws)
+            integrals = map(_INTEGRAL, map(specs.__getitem__, ws))
+            return map(add, values, map(mul, integrals, rates))
+
+        blocks = map(block, range(0, panels, step))
+        value = math.fsum(next(blocks) if panels <= step else chain.from_iterable(blocks))
+        return value, budgets, covers
+
+    value, budgets, covers = f._read(spec.a, spec.b, n - 1, run)
+    return _finite(value, spec.a, spec.b), budgets, covers
 
 
 def true_error(
@@ -351,7 +382,7 @@ def extremal_integrand(spec: RuleSpec) -> Integrand:
 def _end_to_end_error(spec: RuleSpec) -> float:
     """Exact rule error of the extremal integrand, rounded once.
 
-    ``rules._rule_value`` runs in Fraction on the values of f it reads, each
+    ``rules._rule_terms`` runs in Fraction on the values of f it reads, each
     from a closed form.  With h = (b - a)/2 and alpha_j = (1 - theta (2n - j))
     / (2n - j)!, f^(j) is 0 at a and h^(2n-j) alpha_j at mid, where the right
     half's own primitive is (-1)^j times that, so f^(j)(b) is h^(2n-j) times
@@ -376,7 +407,12 @@ def _end_to_end_error(spec: RuleSpec) -> float:
                     for i in range(order | 1, n, 2))
         return Fraction(h.numerator**m * s, h.denominator**m * t_den * math.factorial(m))
 
-    value = sum(next(_rule_value(derivative, Fraction(spec.theta), n, [a, b])))
+    def column(order: int, xs: list) -> list:
+        return [derivative(order, x) for x in xs]
+
+    theta = Fraction(spec.theta)
+    columns = _rule_terms(column, theta, n, [a], [b], [b - a], _coefficients(theta, n))
+    value = sum(term for term, in columns)
     if n % 2 == 0:
         int_k = derivative(n - 1, b) - derivative(n - 1, a)
         value += int_k * int_k / (b - a)

@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from typing import Callable
 
 from .errors import ValidationError, check_int, check_interval
 
@@ -40,6 +41,17 @@ __all__ = [
     "kernel_stats_closed",
     "kernel_stats_brute",
 ]
+
+
+class _Memo(dict):
+    """make(key) for each key, formed on the first read of key."""
+
+    def __init__(self, make: Callable) -> None:
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 @dataclass(frozen=True)
@@ -83,6 +95,17 @@ class RuleSpec:
     def stats(self) -> KernelStats:
         """kernel_stats_closed of this spec, computed on first read and kept."""
         return kernel_stats_closed(self)
+
+    def _panels(self, panels: int) -> _Memo:
+        """This rule on [0, w] for each width w of a partition into ``panels``
+        panels, formed on the first read of w.  Like ``stats`` they are kept
+        with the spec, for the last partition read only, so calls that share
+        a spec and a panel count (one per certificate, say) form them once."""
+        kept = self.__dict__.get("_kept_panels")
+        if kept is None or kept[0] != panels:
+            make = partial(RuleSpec, self.theta, self.n, 0.0)
+            kept = self.__dict__["_kept_panels"] = (panels, _Memo(make))
+        return kept[1]
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Callable, Iterator
+from functools import partial
+from typing import Callable
 
 from .errors import CapabilityError, ConvergenceError, DomainError, ValidationError
 from .errors import check_int, check_interval
-from .kernel import RuleSpec
+from .kernel import RuleSpec, _Memo
 from .poly import domain_slack
 
 __all__ = [
@@ -60,16 +60,22 @@ class Integrand:
     rejected (``max_order=None`` means every order is available).  ``domain``
     is the closed interval on which evaluations are legal, with a tiny
     floating slack at the endpoints.  A NaN or infinite derivative value is
-    rejected, so no budget is ever stated for a non-finite rule value.
+    rejected, and a rule value that overflows from finite ones raises
+    OverflowError, so no budget is ever stated for a non-finite rule value.
+    The optional ``derivatives_fn(k, xs)`` returns the list of f^(k)(x) for
+    x in xs, the same values ``derivative_fn`` gives, in fewer calls.
 
     ``eval_derivative`` checks all of this on every call.  Every reader of f
-    goes through ``_read``: derivative_fn itself where the checks hold for a
-    whole interval, and a replay through eval_derivative if the pass fails.
+    goes through ``_read``, one derivative order at a block of points:
+    unchecked where the checks hold for a whole interval, and a replay
+    through eval_derivative if the pass fails.
     """
 
     derivative_fn: Callable[[int, float], float]
     domain: tuple[float, float]
     max_order: int | None = None
+    derivatives_fn: Callable[[int, list], list] | None = field(
+        default=None, repr=False, compare=False)
     _padded: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -95,14 +101,19 @@ class Integrand:
             raise ValidationError(f"derivative of order {order} at x={x!r} is {value!r}")
         return value
 
-    def _read(self, a: float, b: float, order: int, run: Callable[[Callable], tuple]) -> tuple:
-        """run(read), reading f^(k)(x) at k <= ``order`` and x in [a, b] or a
-        midpoint of two such x; run raises, or returns a tuple led by a
-        non-finite item, if a value read is non-finite.  An end of [a, b] outside
-        the padded domain raises the DomainError.  Where every other check
-        holds for such reads, run(derivative_fn) is kept if its first item is
-        finite, and a ConvergenceError from it is final; otherwise
-        run(eval_derivative) is returned as is."""
+    def _read(self, a: float, b: float, order: int, run: Callable[..., tuple]) -> tuple:
+        """run(column, checked), where column(k, xs) is the list of f^(k)(x)
+        for x in xs, k <= ``order`` and x in [a, b] or a midpoint of two such
+        x; run raises, or returns a tuple led by a non-finite item, if a value
+        read is non-finite.  An end of [a, b] outside the padded domain raises
+        the DomainError.  Where every other check holds for such reads, the
+        first pass reads ``derivatives_fn`` (else ``derivative_fn`` point by
+        point) with checked=False; its result is kept if its first item is
+        finite, and a ConvergenceError from it is final.  Otherwise the
+        replay reads through eval_derivative with checked=True, in which a
+        reader takes one panel at a time, and its result is returned as is.
+        A derivatives_fn that lists the wrong number of values fails the
+        first pass, so its values are never paired with the wrong points."""
         for x in (a, b):
             if not self._padded[0] <= x <= self._padded[1]:
                 self.eval_derivative(0, x)  # raises the DomainError
@@ -110,13 +121,27 @@ class Integrand:
         capable = self.max_order is None or order <= self.max_order
         if capable and lo <= a and b <= hi and math.isfinite(a + a) and math.isfinite(b + b):
             try:
-                result = run(self.derivative_fn)
+                result = run(self._column, False)
                 if math.isfinite(result[0]):
                     return result
             except Exception as error:  # the checked pass below raises it again
                 if isinstance(error, ConvergenceError):  # every value read was finite
                     raise
-        return run(self.eval_derivative)
+        return run(self._checked_column, True)
+
+    def _column(self, k: int, xs: list) -> list:
+        """f^(k) at xs as _read's first pass reads it, without the checks."""
+        many, fn = self.derivatives_fn, self.derivative_fn
+        values = many(k, xs) if many else [fn(k, x) for x in xs]
+        if len(values) != len(xs):
+            raise ValidationError(f"derivatives_fn listed {len(values)} values of order {k} "
+                                  f"at {len(xs)} points")
+        return values
+
+    def _checked_column(self, k: int, xs: list) -> list:
+        """f^(k) at xs through eval_derivative, as _read's replay reads it."""
+        checked = self.eval_derivative
+        return [checked(k, x) for x in xs]
 
 
 @dataclass(frozen=True)
@@ -136,54 +161,72 @@ class QuadratureResult:
     spec: RuleSpec = field(repr=False)
 
 
-def _mean_rate(f: Callable, n: int, a: float, b: float) -> float:
-    """(f^(n-1)(b) - f^(n-1)(a)) / (b - a), the mean of f^(n) on [a, b]."""
-    return (f(n - 1, b) - f(n - 1, a)) / (b - a)
+def _mean_rate(column: Callable, n: int, a: float, b: float) -> float:
+    """(f^(n-1)(b) - f^(n-1)(a)) / (b - a), the mean of f^(n) on [a, b];
+    column(k, xs) lists f^(k)(x) for x in xs."""
+    at_b, at_a = column(n - 1, [b, a])
+    return (at_b - at_a) / (b - a)
 
 
-class _PerWidth(dict):
-    """make(w) for each panel width w, formed on the first read of w."""
-
-    def __init__(self, make: Callable) -> None:
-        self.make = make
-
-    def __missing__(self, w):
-        value = self[w] = self.make(w)
-        return value
+def _coefficients(theta, n: int) -> _Memo:
+    """The correction coefficients of each panel width w, one per order
+    2i = 2, 4, ... < n: (1 - theta k) w^k / (k! 4^i) with k = 2i + 1, so
+    theta = 1/3 zeroes the first (Simpson) and theta = 1/5 the second."""
+    return _Memo(partial(_coefficients_of_width, theta, n))
 
 
-def _rule_value(f: Callable, theta, n: int, edges: list) -> Iterator[list]:
-    """[base, *corrections] of each panel between consecutive ``edges``, F_n
-    being their sum; f(k, x) is f^(k)(x), read as each panel is reached:
-    f(mid), f(lo), f(hi), then f^(2)(mid), f^(4)(mid), ...
+def _coefficients_of_width(theta, n: int, w) -> list:
+    return [(1 - theta * k) * w**k / (math.factorial(k) * 4 ** (k // 2))
+            for k in range(3, n + 1, 2)]
 
-    The corrections are those of the module docstring, so theta = 1/3 zeroes
-    the first (Simpson) and theta = 1/5 the second; their coefficients are
-    formed once per panel width.  Integer literals only, so Fractions stay
-    exact and floats keep their bits (callers use ``math.fsum``).
+
+def _rule_terms(column: Callable, theta, n: int, los: list, his: list, widths: list,
+                coefficients: _Memo) -> list[list]:
+    """Columns [base, *corrections] of the rule on the panels [lo, hi] of
+    the given widths (hi - lo), one entry per panel, F_n of a panel being
+    the sum of its entries.
+
+    column(k, xs) lists f^(k)(x) for x in xs.  It is read once for f at the
+    midpoints, then the left and the right edges, and once for each f^(2),
+    f^(4), ... at the midpoints.  ``coefficients`` is ``_coefficients(theta,
+    n)``, kept by the caller across calls.  Integer literals only, so
+    Fractions stay exact and floats keep their bits (callers use ``math.fsum``).
     """
     keep, blend = 1 - theta, theta / 2
-    coefficients = _PerWidth(lambda w: [  # (1 - theta k) w^k / (k! 4^i) with k = 2i + 1
-        ((1 - theta * k) * w**k / (math.factorial(k) * 4 ** (k // 2)), k - 1)
-        for k in range(3, n + 1, 2)])
-    for lo, hi in zip(edges, islice(edges, 1, None)):
-        w, mid = hi - lo, (lo + hi) / 2
-        terms = [w * (keep * f(0, mid) + blend * (f(0, lo) + f(0, hi)))]
-        for coefficient, order in coefficients[w] if n > 2 else ():
-            terms.append(coefficient * f(order, mid))
-        yield terms
+    mids = [(lo + hi) / 2 for lo, hi in zip(los, his)]
+    f, p = column(0, mids + los + his), len(mids)
+    terms = [[w * (keep * f_mid + blend * (f_lo + f_hi))
+              for w, f_mid, f_lo, f_hi in zip(widths, f, f[p:], f[2 * p:])]]
+    if n > 2:
+        per_panel = list(map(coefficients.__getitem__, widths))
+        for i, k in enumerate(range(2, n, 2)):
+            terms.append([c[i] * f_k for c, f_k in zip(per_panel, column(k, mids))])
+    return terms
+
+
+def _finite(value: float, a: float, b: float) -> float:
+    """``value``, a rule value on [a, b] formed from finite derivative values;
+    OverflowError where their arithmetic overflowed it to inf or NaN."""
+    if not math.isfinite(value):
+        raise OverflowError(f"the rule value on [{a!r}, {b!r}] is {value!r}: "
+                            f"finite derivative values overflow its arithmetic")
+    return value
 
 
 def apply_rule(f: Integrand, spec: RuleSpec) -> QuadratureResult:
     """Evaluate the corrected rule on [spec.a, spec.b]; at even n the
-    perturbation is int K times the mean of f^(n), (f^(n-1)(b) - f^(n-1)(a)) / (b - a)."""
+    perturbation is int K times the mean of f^(n), (f^(n-1)(b) - f^(n-1)(a)) / (b - a).
+    A non-finite f_n_value (so any non-finite base_value) raises OverflowError."""
+    a, b, n, theta = spec.a, spec.b, spec.n, spec.theta
 
-    def run(read: Callable[[int, float], float]) -> tuple[float, list, float | None]:
-        terms = next(_rule_value(read, spec.theta, spec.n, [spec.a, spec.b]))
-        if spec.n % 2:
+    def run(column: Callable, _checked: bool) -> tuple[float, list, float | None]:
+        columns = _rule_terms(column, theta, n, [a], [b], [b - a], _coefficients(theta, n))
+        terms = [term for term, in columns]
+        if n % 2:
             return math.fsum(terms), terms, None
-        perturbation = spec.stats.integral * _mean_rate(read, spec.n, spec.a, spec.b)
+        perturbation = spec.stats.integral * _mean_rate(column, n, a, b)
         return math.fsum(terms) + perturbation, terms, perturbation
 
-    _, terms, perturbation = f._read(spec.a, spec.b, spec.n - 1, run)
-    return QuadratureResult(terms[0], tuple(terms[1:]), math.fsum(terms), perturbation, spec)
+    _, terms, perturbation = f._read(a, b, n - 1, run)
+    f_n_value = _finite(math.fsum(terms), a, b)  # an fsum is finite only over finite terms
+    return QuadratureResult(terms[0], tuple(terms[1:]), f_n_value, perturbation, spec)

@@ -39,11 +39,13 @@ import thetaquad.integrate
 import thetaquad.kernel
 from thetaquad import bounds, rules
 from thetaquad.integrate import (
+    _BLOCK,
     _GL_NODES,
     _GL_WEIGHTS,
     MAX_ORACLE_PANELS,
     _exact_value,
     _extremal_pieces,
+    _rule_panels,
 )
 
 thetas = st.floats(min_value=0.0, max_value=1.0)
@@ -174,6 +176,31 @@ def test_oracle_reads_each_node_of_each_level_once(fn, a, b, levels):
 
     reference_integral(Integrand(derivative_fn, (a, b)), a, b)
     assert calls == {0: 15 * (2**levels - 1)}
+
+
+@pytest.mark.parametrize(
+    "fn, a, b", [(Sine(1.0), 0.0, 10.0), (Sine(37.3), 0.0, 10.0), (Sine(100.0), 0.0, 10.0),
+                 (Runge(), -5.0, 5.0)],
+)
+def test_oracle_column_reads_keep_the_bits(fn, a, b):
+    """The oracle reads a block of panels' nodes as one column: a builtin
+    gives the same bits as its derivative read point by point."""
+    plain = Integrand(derivative_fn=fn.derivative, domain=(a, b))
+    assert reference_integral(fn.integrand(a, b), a, b) == reference_integral(plain, a, b)
+
+
+def test_oracle_reads_a_level_in_blocks():
+    """The last level of a non-converging call has 4096 panels, 61,440 nodes;
+    read in blocks its memory stays far below one list of them."""
+    f = Sine(30000.0).integrand(0.0, 10.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConvergenceError):
+            reference_integral(f, 0.0, 10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20, peak
 
 
 def test_a_non_converging_oracle_reads_every_level_once():
@@ -362,6 +389,108 @@ def test_composite_memory_per_panel():
             finally:
                 tracemalloc.stop()
             assert peak <= 144 * panels, (n, kind, kind_band, peak / panels)
+
+
+@pytest.mark.parametrize("panels", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 1])
+def test_blocks_keep_the_bits_and_the_read_counts(panels):
+    """The panel loop reads f a block of panels at a time.  Across block edges
+    a builtin's column reads give the same bits as its derivative read point
+    by point (the default column), for every kind, both half-infinite bands,
+    the uncertified and the perturbed loop, and the point reads are exactly
+    3P of f, P of each f^(2i) and P + 1 of f^(n-1) where the rate is read."""
+    fn, a, b = Sine(1.3), -0.4, 1.9
+    for n in (3, 4):
+        norms, band = fn.norm_data(n, a, b), fn.band(n, a, b)
+        cases = [(kind, band) for kind in CERTIFICATES]
+        cases += [("band", DerivativeBand(band.gamma, math.inf, n)),
+                  ("band", DerivativeBand(-math.inf, band.Gamma, n)), (None, None)]
+        if n % 2 == 0:
+            cases.append(("perturbed", None))
+        for kind, kind_band in cases:
+            calls = Counter()
+
+            def derivative_fn(order, x):
+                calls[order] += 1
+                return fn.derivative(order, x)
+
+            perturbed, certificate = kind == "perturbed", None if kind == "perturbed" else kind
+            results = [_rule_panels(f, spec(0.3, n, a, b), panels, perturbed, certificate,
+                                    norms, kind_band)
+                       for f in (fn.integrand(a, b), Integrand(derivative_fn, (a, b)))]
+            assert results[0] == results[1], (n, kind, kind_band)
+            expected = Counter({0: 3 * panels})
+            for order in range(2, n, 2):
+                expected[order] += panels
+            if bounds.reads_rate(certificate, n, kind_band) or results[0][2]:
+                expected[n - 1] += panels + 1
+            assert calls == expected, (n, kind, kind_band)
+
+
+def test_a_rule_value_that_overflows_from_finite_values_is_refused():
+    """Finite derivative values whose rule arithmetic overflows raise
+    OverflowError naming the interval, so no budget stands next to inf or NaN."""
+    huge = Integrand(derivative_fn=lambda k, x: 9e307, domain=(0.0, 1.0))
+    message = r"^the rule value on \[0\.0, 1\.0\] is inf: finite derivative values overflow"
+    with pytest.raises(OverflowError, match=message):
+        composite_integrate(huge, spec(1.0 / 3.0, 4), 3, "linf", norms=NormData(linf=1.0))
+    with pytest.raises(OverflowError, match=message):
+        true_error(huge, spec(1.0 / 3.0, 4))
+    largest = Integrand(derivative_fn=lambda k, x: 1.79e308, domain=(0.0, 1.0))
+    with pytest.raises(OverflowError, match=r"^the rule value on \[0\.0, 1\.0\] is nan: "):
+        apply_rule(largest, spec(0.0, 2))  # base_value = 1 * f(mid) + 0 * inf
+
+
+def test_calls_that_share_a_spec_and_a_panel_count_share_the_panel_specs(monkeypatch):
+    """The spec of each panel width is kept with the caller's spec for the
+    last panel count only: a second certificate on the same partition forms
+    no kernel statistics, and another panel count replaces them."""
+    calls = Counter()
+    original = thetaquad.kernel.kernel_stats_closed
+
+    def counted(s):
+        calls[s.width] += 1
+        return original(s)
+
+    monkeypatch.setattr(thetaquad.kernel, "kernel_stats_closed", counted)
+    fn, a, b, n = Sine(1.3), -0.4, 1.9, 4
+    norms = fn.norm_data(n, a, b)
+    s = spec(0.3, n, a, b)
+    edges = thetaquad.integrate._panel_edges(a, b, 7)
+    widths = {hi - lo for lo, hi in zip(edges, edges[1:])}
+    first = composite_integrate(fn.integrand(a, b), s, 7, "linf", norms=norms)
+    assert calls == Counter(dict.fromkeys(widths, 1))
+    composite_integrate(fn.integrand(a, b), s, 7, "sharp", norms=norms)
+    assert calls == Counter(dict.fromkeys(widths, 1))
+    composite_integrate(fn.integrand(a, b), s, 9, "linf", norms=norms)
+    calls.clear()
+    assert composite_integrate(fn.integrand(a, b), s, 7, "linf", norms=norms) == first
+    assert calls == Counter(dict.fromkeys(widths, 1))
+
+
+@pytest.mark.parametrize("drop", [0, -1])
+def test_a_derivatives_fn_that_lists_the_wrong_number_of_values_is_not_trusted(drop):
+    """A derivatives_fn that drops a value would pair the rest with the wrong
+    points and panels.  Its first pass fails, so the values are read through
+    derivative_fn point by point instead, and every result equals the
+    integrand that has no derivatives_fn."""
+    fn, a, b, n = Runge(), -1.2, 2.5, 4
+    norms, band = fn.norm_data(n, a, b), fn.band(n, a, b)
+
+    def short(k, xs):
+        values = fn.derivatives(k, xs)
+        del values[drop]
+        return values
+
+    wrong = Integrand(fn.derivative, (a, b), derivatives_fn=short)
+    plain = Integrand(fn.derivative, (a, b))
+    s = spec(0.3, n, a, b)
+    for panels in (1, 2, 300):
+        for kind in ("linf", "band"):
+            results = [composite_integrate(f, s, panels, kind, norms=norms, band=band)
+                       for f in (wrong, plain)]
+            assert results[0] == results[1], (panels, kind)
+    assert apply_rule(wrong, s) == apply_rule(plain, s)
+    assert reference_integral(wrong, a, b) == reference_integral(plain, a, b)
 
 
 @pytest.mark.parametrize(
@@ -624,6 +753,19 @@ def test_failed_evaluations_raise_the_eval_derivative_errors():
         composite_integrate(huge, spec(0.0, 3, 0.0, 10.0), 2, "linf", norms=norms)
 
 
+def test_a_failed_pass_is_replayed_in_the_order_of_a_point_reader():
+    """The first pass reads a block's midpoints before its edges; the checked
+    replay reads panel by panel, f(mid), f(lo), f(hi), so it raises at the
+    edge 0.4 of the fourth panel, not at the fifth panel's midpoint 0.45."""
+
+    def nan_from_an_edge(order, x):
+        return math.nan if 0.38 <= x <= 0.46 else math.exp(x)
+
+    f = Integrand(derivative_fn=nan_from_an_edge, domain=(0.0, 1.0))
+    with pytest.raises(ValidationError, match=r"^derivative of order 0 at x=0\.4 is nan$"):
+        composite_integrate(f, spec(0.5, 4), 10, "linf", norms=NormData(linf=math.e))
+
+
 def test_too_wide_an_interval_names_the_kernel_statistics():
     """Every panel is certified before its value is formed, so an interval
     whose kernel statistics overflow reports that, not the overflow of a
@@ -766,11 +908,11 @@ def test_end_to_end_node_values_are_the_extremal_pieces(monkeypatch):
     n and for F (order -1, F(b) = int f), so the two derivations agree."""
     readers = []
 
-    def capture(f, *args):
-        readers.append(f)
-        return rules._rule_value(f, *args)
+    def capture(column, *args):
+        readers.append(lambda order, x: column(order, [x])[0])
+        return rules._rule_terms(column, *args)
 
-    monkeypatch.setattr(thetaquad.integrate, "_rule_value", capture)
+    monkeypatch.setattr(thetaquad.integrate, "_rule_terms", capture)
     rng = random.Random(5)
     for n in range(1, 13):
         for theta in (0.0, 1.0 / 3.0, 0.5, 1.0, 1.0 / n, rng.random()):

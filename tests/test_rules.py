@@ -18,7 +18,7 @@ from thetaquad import (
     apply_rule,
     preset,
 )
-from thetaquad.rules import _rule_value
+from thetaquad.rules import _coefficients, _rule_terms
 
 thetas = st.floats(min_value=0.0, max_value=1.0)
 
@@ -280,12 +280,17 @@ dyadic = st.integers(min_value=-64, max_value=64).map(lambda k: Fraction(k, 16))
 )
 @settings(max_examples=60, deadline=None)
 def test_peano_identity_holds_exactly_in_fractions(n, data, a, width, theta):
-    """int p - F_n = (-1)^n int K p^(n), with _rule_value run in Fractions."""
+    """int p - F_n = (-1)^n int K p^(n), with _rule_terms run in Fractions."""
     degree = data.draw(st.integers(min_value=0, max_value=n + 3))
     p = data.draw(st.lists(dyadic, min_size=degree + 1, max_size=degree + 1))
     b = a + width
     mid, c = (a + b) / 2, theta * n * width / 2
-    value = sum(next(_rule_value(lambda k, x: _poly_value(_poly_derivative(p, k), x), theta, n, [a, b])))
+
+    def column(k, xs):
+        return [_poly_value(_poly_derivative(p, k), x) for x in xs]
+
+    columns = _rule_terms(column, theta, n, [a], [b], [b - a], _coefficients(theta, n))
+    value = sum(term for term, in columns)
     p_n = _poly_derivative(p, n)
     kernel_integral = _poly_integral(_poly_mul(_kernel_half(n, a, a + c), p_n), a, mid)
     kernel_integral += _poly_integral(_poly_mul(_kernel_half(n, b, b - c), p_n), mid, b)

@@ -15,7 +15,7 @@ from tracing import Tracer  # noqa: E402
 #: Each tracer target that no longer exists, and why its work is still seen
 #: (or not) elsewhere.
 MISSING_TARGETS = {
-    "thetaquad.integrate.apply_rule": "the panel loop calls rules._rule_value",
+    "thetaquad.integrate.apply_rule": "the panel loop calls rules._rule_terms",
     # sharpness_check and certify read spec.stats, which calls the wrapped
     # kernel.kernel_stats_closed: kernel.closed counts once per RuleSpec
     "thetaquad.integrate.kernel_stats_closed": "read through RuleSpec.stats",
