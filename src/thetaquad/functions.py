@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable
 
 from .bounds import DerivativeBand, NormData
@@ -48,9 +48,11 @@ _PHASE_GRID_LIMIT = 2**20  # most multiples of pi Sine lists for one interval
 class AnalyticFunction:
     """Shared assembly of exact norm data from per-function primitives.
 
-    Subclasses provide ``_formula``, f^(order) as a function of x with its
-    per-order constants formed once, which ``derivative`` (one point) and
-    ``derivatives`` (a list of points) both evaluate; the interior
+    Subclasses provide ``_formula``, f^(order) in column form (a list of
+    points to the list of its values) with its per-order constants formed
+    once.  ``derivatives`` returns that column, and ``derivative`` reads a
+    column of one point; an OverflowError from either names the function,
+    the order and the range of points.  Subclasses also provide the interior
     stationary points and zeros of a given derivative order (one call, so
     that both can come from one computation), and the closed-form squared
     l2 norm; everything else (band via candidate evaluation, l1 via
@@ -60,7 +62,7 @@ class AnalyticFunction:
 
     name = "?"
 
-    def _formula(self, order: int) -> Callable[[float], float]:
+    def _formula(self, order: int) -> Callable[[list], list]:
         raise NotImplementedError
 
     @cached_property
@@ -69,10 +71,17 @@ class AnalyticFunction:
         return _Memo(self._formula)
 
     def derivative(self, order: int, x: float) -> float:
-        return self._formulas[order](x)
+        try:
+            return self._formulas[order]([x])[0]
+        except OverflowError:
+            return self.derivatives(order, [x])[0]  # raises it again, named
 
     def derivatives(self, order: int, xs: list) -> list:
-        return list(map(self._formulas[order], xs))
+        try:
+            return self._formulas[order](xs)
+        except OverflowError as error:
+            raise OverflowError(f"{self.name}: derivative of order {order} overflows a float "
+                                f"on [{min(xs)!r}, {max(xs)!r}]") from error
 
     def _critical_points(self, order: int, a: float, b: float) -> tuple[list, list]:
         """Interior stationary points and interior zeros of f^(order) on (a, b)."""
@@ -134,11 +143,15 @@ class Exponential(AnalyticFunction):
 
     name = "exp"
 
-    def _formula(self, order: int) -> Callable[[float], float]:
-        return math.exp
+    def _formula(self, order: int) -> Callable[[list], list]:
+        exp = math.exp
+        return lambda xs: list(map(exp, xs))
 
     def derivative(self, order: int, x: float) -> float:
-        return math.exp(x)  # _formula(order)(x), without looking the order up
+        try:
+            return math.exp(x)  # _formula(order)([x])[0], without the column
+        except OverflowError:
+            return self.derivatives(order, [x])[0]
 
     def _critical_points(self, order: int, a: float, b: float) -> tuple[list, list]:
         return [], []
@@ -161,10 +174,10 @@ class Sine(AnalyticFunction):
     def name(self) -> str:  # type: ignore[override]
         return "sin" if self.omega == 1.0 else f"sin({self.omega:g}x)"
 
-    def _formula(self, order: int) -> Callable[[float], float]:
+    def _formula(self, order: int) -> Callable[[list], list]:
         w, sin = self.omega, math.sin
         scale, phase = w**order, order * math.pi / 2.0
-        return lambda x: scale * sin(w * x + phase)
+        return lambda xs: [scale * sin(w * x + phase) for x in xs]
 
     def _phase_grid(self, phase: float, a: float, b: float) -> list[float]:
         """Solutions of omega x + phase = j pi strictly inside (a, b)."""
@@ -202,15 +215,10 @@ class Runge(AnalyticFunction):
     def _t(x: float) -> float:
         return math.atan2(1.0, x)
 
-    def _formula(self, order: int) -> Callable[[float], float]:
+    def _formula(self, order: int) -> Callable[[list], list]:
         scale, m = (-1.0) ** order * math.factorial(order), order + 1
-        sin, atan2 = math.sin, math.atan2
-
-        def at(x: float) -> float:
-            t = atan2(1.0, x)  # as _t does
-            return scale * sin(t) ** m * sin(m * t)
-
-        return at
+        sin, atan2 = math.sin, math.atan2  # t = atan2(1.0, x) as _t forms it
+        return lambda xs: [scale * sin(t) ** m * sin(m * t) for x in xs for t in [atan2(1.0, x)]]
 
     @staticmethod
     def _cot_grid(parts: int, a: float, b: float) -> list[float]:
@@ -276,8 +284,19 @@ class PolynomialFunction(AnalyticFunction):
     def _coeffs_of_order(self, order: int) -> tuple[float, ...]:
         return self._chain[order] if order < len(self._chain) else (0.0,)
 
-    def _formula(self, order: int) -> Callable[[float], float]:
-        return partial(_horner, self._coeffs_of_order(order))
+    def _formula(self, order: int) -> Callable[[list], list]:
+        descending = self._coeffs_of_order(order)[::-1]
+
+        def column(xs: list) -> list:  # poly._horner at each x: its operations, from acc = 0.0
+            values = []
+            for x in xs:
+                acc = 0.0
+                for c in descending:
+                    acc = acc * x + c
+                values.append(acc)
+            return values
+
+        return column
 
     def _critical_points(self, order: int, a: float, b: float) -> tuple[list, list]:
         return _chain_roots(self._chain[order:], a, b)

@@ -92,8 +92,16 @@ def reference_integral(
     successive refinements differ by less than ``tol * (1 + |result|)``.
     The refinement order is deterministic, so identical inputs give
     bit-identical output.  Hitting MAX_ORACLE_PANELS without meeting the
-    criterion raises ConvergenceError.  An empty interval gives 0.0, and an
-    end of [a, b] outside the domain of ``f`` raises DomainError.
+    criterion raises ConvergenceError.  ``tol`` is checked first; then an
+    empty interval gives 0.0, and an end of [a, b] outside the domain of
+    ``f`` raises DomainError.
+
+    The last result is kept with ``f``, for one (a, b, tol) only, as
+    ``RuleSpec._panels`` keeps its last partition: a second call on the same
+    key (``true_error`` after this, say) returns it without reading f.  That
+    assumes ``derivative_fn`` is a function of its arguments, as the replay
+    in ``Integrand._read`` does.  No error is kept: each call that raises
+    reads f again and raises again.
 
     The nodes and weights are committed, correctly rounded constants, so the
     result does not depend on a linear-algebra library.  It still depends on
@@ -101,11 +109,14 @@ def reference_integral(
     ``math.exp``, ``math.sin`` and the like, and whether those are correctly
     rounded on every platform is not established here.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValidationError(f"tol must be positive, got {tol!r}")
     if a == b and math.isfinite(a):
         return 0.0
     a, b = check_interval(a, b)
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValidationError(f"tol must be positive, got {tol!r}")
+    kept = f.__dict__.get("_kept_reference")
+    if kept is not None and kept[0] == (a, b, tol):
+        return kept[1]
 
     def run(column: Callable, checked: bool) -> tuple[float]:
         # a non-finite level ends the first pass at once
@@ -125,7 +136,9 @@ def reference_integral(
         raise ConvergenceError(f"reference integral did not stabilize to tol={tol!r} "
                                f"within {MAX_ORACLE_PANELS} panels")
 
-    return f._read(a, b, 0, run)[0]
+    value = f._read(a, b, 0, run)[0]
+    f.__dict__["_kept_reference"] = ((a, b, tol), value)
+    return value
 
 
 def sigma_functional(
@@ -244,7 +257,10 @@ def true_error(
     """|I - F_n| against the reference oracle; optionally the perturbed rule.
 
     With ``perturbed`` (even n only) the perturbation term joins the rule
-    value, matching what perturbed-rule certificates bound.
+    value, matching what perturbed-rule certificates bound.  The oracle's
+    value is the one ``reference_integral`` keeps with ``f``: after a call
+    of it on [spec.a, spec.b] at ``tol``, or across a sweep of specs on one
+    interval, the oracle's nodes are read once.
     """
     value, _, _ = _rule_panels(f, spec, 1, perturbed)
     return abs(reference_integral(f, spec.a, spec.b, tol=tol) - value)

@@ -68,7 +68,10 @@ class Integrand:
     ``eval_derivative`` checks all of this on every call.  Every reader of f
     goes through ``_read``, one derivative order at a block of points:
     unchecked where the checks hold for a whole interval, and a replay
-    through eval_derivative if the pass fails.
+    through eval_derivative if the pass fails.  ``derivative_fn`` is assumed
+    to be a function of (k, x): the replay reads it again, and
+    ``integrate.reference_integral`` keeps its last result with the
+    instance, which is neither shown nor compared.
     """
 
     derivative_fn: Callable[[int, float], float]

@@ -526,6 +526,24 @@ def test_orders_past_the_kernel_range_exit_2(capsys, argv):
     assert "supported for n <= 98 with (b - a)^(2n+1) < 1.8e308" in err
 
 
+@pytest.mark.parametrize("argv, where", [
+    (["integrate", "--f", "exp", "--n", "2", "--theta", "0", "--a", "0", "--b", "800"],
+     "of order 0 overflows a float on [800.0, 800.0]"),
+    (["integrate", "--f", "exp", "--n", "2", "--theta", "0", "--a", "0", "--b", "800",
+      "--bound", "l2"], "of order 2 overflows a float on [0.0, 800.0]"),
+    (["bound", "--bound", "linf", "--f", "exp", "--n", "2", "--theta", "0", "--a", "0",
+      "--b", "800"], "of order 2 overflows a float on [0.0, 800.0]"),
+    (["bound", "--bound", "band", "--f", "exp", "--n", "2", "--theta", "0", "--a", "0",
+      "--b", "800"], "of order 2 overflows a float on [0.0, 800.0]"),
+])
+def test_an_overflowing_builtin_is_named(capsys, argv, where):
+    """exp(800) overflows a float; the message says which function, which
+    derivative order and where, not only "math range error"."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"thetaquad: floating-point overflow: exp: derivative {where}\n"
+
+
 def test_n_98_certifies_and_the_plain_rule_value_keeps_its_range(capsys):
     for n in ("98", "99", "100"):
         record = run_json(capsys, "integrate", "--f", "exp", "--n", n, "--theta", "0.5",

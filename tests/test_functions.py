@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import struct
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from thetaquad import (
     parse_function,
 )
 from thetaquad import functions
-from thetaquad.poly import _derivative_coeffs, real_roots
+from thetaquad.poly import _derivative_coeffs, _horner, real_roots
 
 INTERVALS = [(0.0, 1.0), (-1.0, 2.0)]
 
@@ -372,3 +373,98 @@ def test_integrand_handles_arbitrary_orders():
     assert f.eval_derivative(7, 0.3) == pytest.approx(
         central_difference(Runge(), 7, 0.3), rel=1e-4, abs=1e-2
     )
+
+
+# ---------------------------------------------------------------- column formulas
+
+
+def _point_formula(fn, order):
+    """f^(order) of a builtin at one point, each operation as before its
+    formulas took a column: the reference the columns must match bit for bit."""
+    if isinstance(fn, Sine):
+        w = fn.omega
+        scale, phase = w**order, order * math.pi / 2.0
+        return lambda x: scale * math.sin(w * x + phase)
+    if isinstance(fn, Runge):
+        scale, m = (-1.0) ** order * math.factorial(order), order + 1
+
+        def at(x):
+            t = math.atan2(1.0, x)
+            return scale * math.sin(t) ** m * math.sin(m * t)
+
+        return at
+    if isinstance(fn, PolynomialFunction):
+        coeffs = fn.coefficients
+        for _ in range(order):
+            coeffs = _derivative_coeffs(coeffs)
+        return lambda x: _horner(coeffs, x)
+    return math.exp
+
+
+def _signed_zero_polynomials():
+    rng = random.Random(21)
+    polys = []
+    for degree in range(7):
+        polys.append((-0.0,) * (degree + 1))
+        polys.append(tuple(rng.choice([-0.0, 0.0, rng.uniform(-3.0, 3.0)])
+                           for _ in range(degree + 1)))
+        polys.append((-0.0,) * degree + (rng.uniform(-3.0, 3.0),))
+    return polys
+
+
+COLUMN_CASES = ([Exponential(), Sine(1.0), Sine(37.3), Sine(100.0), Runge()]
+                + [PolynomialFunction(c) for c in _signed_zero_polynomials()])
+COLUMN_POINTS = ([0.0, -0.0, 1e-300, -1e-300, 1e3, -1e3]
+                 + [random.Random(7).uniform(-12.0, 12.0) for _ in range(40)])
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+@pytest.mark.parametrize("fn", COLUMN_CASES, ids=lambda fn: fn.name)
+def test_column_formulas_keep_the_bits_of_the_point_formulas(fn):
+    """derivatives(k, xs) over a whole column, and derivative(k, x) as a
+    column of one, give each point formula's bits, signed zeros included;
+    where the point formula overflows, both raise OverflowError."""
+    for order in range(9):
+        point = _point_formula(fn, order)
+        expected = []
+        for x in COLUMN_POINTS:
+            try:
+                expected.append(_bits(point(x)))
+            except OverflowError:
+                expected.append(None)
+            if expected[-1] is None:
+                with pytest.raises(OverflowError):
+                    fn.derivative(order, x)
+                with pytest.raises(OverflowError):
+                    fn.derivatives(order, [x])
+            else:
+                assert _bits(fn.derivative(order, x)) == expected[-1], (order, x)
+                assert _bits(fn.derivatives(order, [x])[0]) == expected[-1], (order, x)
+        finite = [x for x, bits in zip(COLUMN_POINTS, expected) if bits is not None]
+        assert list(map(_bits, fn.derivatives(order, finite))) == [b for b in expected if b]
+
+
+@pytest.mark.parametrize("fn, order, xs, message", [
+    (Exponential(), 2, [800.0], r"exp: derivative of order 2 overflows a float on \[800\.0, 800\.0\]"),
+    (Exponential(), 0, [1.0, 800.0, -3.0], r"exp: derivative of order 0 overflows a float on \[-3\.0, 800\.0\]"),
+    (Sine(1e200), 2, [0.5], r"sin\(1e\+200x\): derivative of order 2 overflows a float on \[0\.5, 0\.5\]"),
+    (Runge(), 171, [0.25, 0.5], r"runge: derivative of order 171 overflows a float on \[0\.25, 0\.5\]"),
+])
+def test_an_overflowing_formula_is_named(fn, order, xs, message):
+    """The builtin's own OverflowError (math.exp's "math range error", a power
+    or a factorial past the float range) names the function, the order and
+    the points' range, read one point or many."""
+    with pytest.raises(OverflowError, match=f"^{message}$"):
+        fn.derivatives(order, xs)
+    if len(xs) == 1:
+        with pytest.raises(OverflowError, match=f"^{message}$"):
+            fn.derivative(order, xs[0])
+
+
+def test_a_band_that_overflows_names_its_interval():
+    with pytest.raises(OverflowError, match=r"^exp: derivative of order 2 overflows a float "
+                                            r"on \[0\.0, 800\.0\]$"):
+        Exponential().band(2, 0.0, 800.0)

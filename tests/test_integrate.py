@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import struct
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -215,6 +216,113 @@ def test_a_non_converging_oracle_reads_every_level_once():
     with pytest.raises(ConvergenceError):
         reference_integral(Integrand(derivative_fn, (0.0, 10.0)), 0.0, 10.0)
     assert calls == {0: 15 * (2 * MAX_ORACLE_PANELS - 1)} == {0: 122865}
+
+
+def counted(fn, a, b):
+    """An Integrand over fn.derivative on [a, b], and the reads of each order."""
+    calls = Counter()
+
+    def derivative_fn(order, x):
+        calls[order] += 1
+        return fn.derivative(order, x)
+
+    return Integrand(derivative_fn, (a, b)), calls
+
+
+def test_true_error_after_the_oracle_reads_its_nodes_once():
+    """The oracle's result is kept with the integrand: true_error after
+    reference_integral on one Integrand reads the 15 (2^8 - 1) nodes once,
+    plus the rule's own three reads of f."""
+    f, calls = counted(Sine(100.0), 0.0, 10.0)
+    s = spec(0.5, 2, a=0.0, b=10.0)
+    reference = reference_integral(f, 0.0, 10.0)
+    assert calls == {0: 15 * (2**8 - 1)}
+    error = true_error(f, s)
+    assert calls == {0: 15 * (2**8 - 1) + 3}
+    fresh, _ = counted(Sine(100.0), 0.0, 10.0)
+    assert (reference, error) == (reference_integral(fresh, 0.0, 10.0), true_error(fresh, s))
+    for theta in (0.0, 1.0 / 3.0, 1.0):  # a sweep on one interval reads only the rule
+        true_error(f, spec(theta, 2, a=0.0, b=10.0))
+    assert calls == {0: 15 * (2**8 - 1) + 12}
+
+
+def test_the_oracle_keeps_one_result():
+    """Another tol or interval replaces the kept result, so the first key
+    is read again."""
+    f, calls = counted(Runge(), -5.0, 5.0)
+    first = reference_integral(f, -5.0, 5.0)
+    level = calls[0]
+    assert level == 15 * (2**4 - 1)  # Runge on [-5, 5] stops after 4 levels
+    assert reference_integral(f, -5.0, 5.0) == first and calls[0] == level
+    for other in [(-5.0, 5.0, 1e-9), (-5.0, 4.0, 1e-12), (-4.0, 5.0, 1e-12)]:
+        reference_integral(f, *other)
+        reads = calls[0]
+        assert reference_integral(f, *other) >= 0.0 and calls[0] == reads
+        assert reference_integral(f, -5.0, 5.0) == first and calls[0] == reads + level
+
+
+def test_a_convergence_error_is_raised_again_on_every_call():
+    """No error is kept: a second call reads all 122,865 nodes again."""
+    calls = Counter()
+
+    def derivative_fn(order, x):
+        calls[order] += 1
+        return math.sin(30000.0 * x)
+
+    f = Integrand(derivative_fn, (0.0, 10.0))
+    for times in (1, 2):
+        with pytest.raises(ConvergenceError):
+            reference_integral(f, 0.0, 10.0)
+        assert calls == {0: times * 122865}
+
+
+def test_an_error_of_the_integrand_is_raised_again_on_every_call():
+    """The first pass raises it, the replay raises it again, and so does
+    the next call, after reading as much again."""
+    reads = []
+
+    def derivative_fn(order, x):
+        reads.append(x)
+        if x > 0.9:
+            raise KeyError(x)
+        return math.exp(x)
+
+    f = Integrand(derivative_fn, (0.0, 1.0))
+    for times in (1, 2):
+        with pytest.raises(KeyError):
+            reference_integral(f, 0.0, 1.0)
+        assert len(reads) == times * 2 * 13  # each pass stops at the 13th node, x = 0.924...
+    with pytest.raises(ValidationError, match="tol must be positive"):
+        reference_integral(f, 0.0, 1.0, tol=0.0)
+
+
+@pytest.mark.parametrize("a, b, hit", [(0.0, 1.0, (-0.0, 1.0)), (-0.0, 1.0, (0.0, 1.0)),
+                                       (-1.0, 0.0, (-1.0, -0.0)), (-1.0, -0.0, (-1.0, 0.0))])
+@pytest.mark.parametrize("fn", [Exponential(), Runge(), Sine(37.3)])
+def test_a_kept_result_has_the_bits_of_a_fresh_call(fn, a, b, hit):
+    """A signed zero end compares equal to the other zero, so it reads the
+    kept result: the same bits a fresh Integrand gives for it."""
+    f, calls = counted(fn, -1.0, 1.0)
+    reference_integral(f, a, b)
+    reads = calls[0]
+    kept = reference_integral(f, *hit)
+    assert calls[0] == reads
+    fresh = reference_integral(Integrand(fn.derivative, (-1.0, 1.0)), *hit)
+    assert struct.pack("<d", kept) == struct.pack("<d", fresh)
+    assert struct.pack("<d", kept) == struct.pack("<d", reference_integral(
+        fn.integrand(-1.0, 1.0), *hit))
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("a, b", [(0.5, 0.5), (0.0, 1.0), (2.0, 3.0)])
+def test_the_oracle_checks_tol_before_anything_else(a, b, tol):
+    """An empty interval is not exempt from the tol check, and [2, 3] lies
+    outside the domain: tol is checked first either way."""
+    f = Integrand(lambda k, x: math.exp(x), (0.0, 1.0))
+    with pytest.raises(ValidationError, match=r"^tol must be positive, got "):
+        reference_integral(f, a, b, tol=tol)
+    with pytest.raises(ValidationError, match=r"^tol must be positive, got "):
+        true_error(f, spec(0.5, 2), tol=tol)
 
 
 def test_true_error_for_the_worked_midpoint_example():
