@@ -8,7 +8,6 @@ import warnings
 from dataclasses import dataclass
 from itertools import chain, islice
 from operator import add, attrgetter, lt, mul, sub, truediv
-from typing import Callable
 
 from . import bounds
 from .errors import ConvergenceError, ValidationError, check_int, check_interval
@@ -83,6 +82,11 @@ def _panel_edges(a: float, b: float, panels: int) -> list[float]:
     return [a + i * h for i in range(panels)] + [b]
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValidationError(f"tol must be positive, got {tol!r}")
+
+
 def reference_integral(
     f: Integrand, a: float, b: float, tol: float = DEFAULT_ORACLE_TOL
 ) -> float:
@@ -96,12 +100,18 @@ def reference_integral(
     empty interval gives 0.0, and an end of [a, b] outside the domain of
     ``f`` raises DomainError.
 
+    Each level's nodes are read in blocks of _BLOCK panels through
+    ``Integrand._read``, once, each column checked as it is read: a
+    non-finite value raises ValidationError at the first such node of the
+    first level that reads one.  A level whose sum overflows from finite
+    values is never the result.  On an interval so narrow that a node may round
+    past [a, b], the nodes are clamped into the domain.
+
     The last result is kept with ``f``, for one (a, b, tol) only, as
     ``RuleSpec._panels`` keeps its last partition: a second call on the same
     key (``true_error`` after this, say) returns it without reading f.  That
-    assumes ``derivative_fn`` is a function of its arguments, as the replay
-    in ``Integrand._read`` does.  No error is kept: each call that raises
-    reads f again and raises again.
+    assumes ``derivative_fn`` is a function of its arguments.  No error is
+    kept: each call that raises reads f again and raises again.
 
     The nodes and weights are committed, correctly rounded constants, so the
     result does not depend on a linear-algebra library.  It still depends on
@@ -109,8 +119,7 @@ def reference_integral(
     ``math.exp``, ``math.sin`` and the like, and whether those are correctly
     rounded on every platform is not established here.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValidationError(f"tol must be positive, got {tol!r}")
+    _check_tol(tol)
     if a == b and math.isfinite(a):
         return 0.0
     a, b = check_interval(a, b)
@@ -118,27 +127,19 @@ def reference_integral(
     if kept is not None and kept[0] == (a, b, tol):
         return kept[1]
 
-    def run(column: Callable, checked: bool) -> tuple[float]:
-        # a non-finite level ends the first pass at once
-        if not checked and b - a < 2**-32 * max(abs(a), abs(b)) + 2**-1000:
-            return (math.nan,)  # so narrow that nodes may round past [a, b]: read them checked
-        step = 1 if checked else _BLOCK
-        previous, panels = math.nan, 1
-        while panels <= MAX_ORACLE_PANELS:
-            edges = _panel_edges(a, b, panels)
-            value = math.fsum(chain.from_iterable(
-                _gl_panels(column, edges[i:i + step + 1]) for i in range(0, panels, step)))
-            if abs(value - previous) < tol * (1.0 + abs(value)) or not (
-                    checked or math.isfinite(value)):
-                return (value,)
-            previous = value
-            panels *= 2
-        raise ConvergenceError(f"reference integral did not stabilize to tol={tol!r} "
-                               f"within {MAX_ORACLE_PANELS} panels")
-
-    value = f._read(a, b, 0, run)[0]
-    f.__dict__["_kept_reference"] = ((a, b, tol), value)
-    return value
+    column = f._read(a, b)
+    previous, panels = math.nan, 1
+    while panels <= MAX_ORACLE_PANELS:
+        edges = _panel_edges(a, b, panels)
+        value = math.fsum(chain.from_iterable(
+            _gl_panels(column, edges[i:i + _BLOCK + 1]) for i in range(0, panels, _BLOCK)))
+        if abs(value - previous) < tol * (1.0 + abs(value)):
+            f.__dict__["_kept_reference"] = ((a, b, tol), value)
+            return value
+        previous = value
+        panels *= 2
+    raise ConvergenceError(f"reference integral did not stabilize to tol={tol!r} "
+                           f"within {MAX_ORACLE_PANELS} panels")
 
 
 def sigma_functional(
@@ -154,15 +155,13 @@ def sigma_functional(
     check_int("order", order, 0)
     a, b = check_interval(a, b)
 
-    def run(column: Callable, _checked: bool) -> tuple[float, float]:
-        node = functools.cache(lambda x: column(order, [x])[0])  # one evaluation per node for both
-        g = Integrand(lambda _k, x: node(x), (a, b), max_order=0)
-        g_sq = Integrand(lambda _k, x: node(x) ** 2, (a, b), max_order=0)
-        int_g = reference_integral(g, a, b, tol=oracle_tol)
-        int_g2 = reference_integral(g_sq, a, b, tol=oracle_tol)
-        return int_g2 - int_g * int_g / (b - a), int_g2
-
-    raw, int_g2 = f._read(a, b, order, run)
+    column = f._read(a, b)
+    node = functools.cache(lambda x: column(order, [x])[0])  # one evaluation per node for both
+    g = Integrand(lambda _k, x: node(x), (a, b), max_order=0)
+    g_sq = Integrand(lambda _k, x: node(x) ** 2, (a, b), max_order=0)
+    int_g = reference_integral(g, a, b, tol=oracle_tol)
+    int_g2 = reference_integral(g_sq, a, b, tol=oracle_tol)
+    raw = int_g2 - int_g * int_g / (b - a)
     if raw < -1e-12 * int_g2:
         warnings.warn(
             f"sigma functional came out negative ({raw!r}) beyond roundoff; clamping to 0",
@@ -201,50 +200,46 @@ def _rule_panels(
     coefficients = _coefficients(theta, n)
     fixed = certificate is not None and not one_sided
 
-    def run(column: Callable, checked: bool) -> tuple[float, list[float], bool]:
-        edges = _panel_edges(spec.a, spec.b, panels)
-        if not all(map(lt, edges, islice(edges, 1, None))):
-            at = f"panels={panels} on [{spec.a!r}, {spec.b!r}]"
-            raise ValidationError(f"{at}: neighbouring panel edges round to the same float")
-        widths = map(sub, islice(edges, 1, None), edges)
-        budgets = list(map(_BOUND, map(certs.__getitem__, widths))) if fixed else []
-        covers = certs[edges[1] - edges[0]].covers_perturbed_rule if fixed else perturbed
-        step = 1 if checked else _BLOCK  # one panel at a time: the order errors are raised in
-        ends, rated = [], {}  # f^(n-1) at the last edge read; a one-sided certificate per width
+    column = f._read(spec.a, spec.b)
+    edges = _panel_edges(spec.a, spec.b, panels)
+    if not all(map(lt, edges, islice(edges, 1, None))):
+        at = f"panels={panels} on [{spec.a!r}, {spec.b!r}]"
+        raise ValidationError(f"{at}: neighbouring panel edges round to the same float")
+    widths = map(sub, islice(edges, 1, None), edges)
+    budgets = list(map(_BOUND, map(certs.__getitem__, widths))) if fixed else []
+    covers = certs[edges[1] - edges[0]].covers_perturbed_rule if fixed else perturbed
+    ends, rated = [], {}  # f^(n-1) at the last edge read; a one-sided certificate per width
 
-        def rates_of(i: int, ws: list) -> list[float]:  # f^(n-1) once per edge
-            ends.extend(column(n - 1, edges[i + len(ends):i + len(ws) + 1]))
-            rates = list(map(truediv, map(sub, islice(ends, 1, None), ends), ws))
-            del ends[:-1]
-            return rates
+    def rates_of(i: int, ws: list) -> list[float]:  # f^(n-1) once per edge
+        ends.extend(column(n - 1, edges[i + len(ends):i + len(ws) + 1]))
+        rates = list(map(truediv, map(sub, islice(ends, 1, None), ends), ws))
+        del ends[:-1]
+        return rates
 
-        def block(i: int):  # the values of the panels from edges[i] on
-            nonlocal covers
-            his = edges[i + 1:i + step + 1]
-            los = edges[i:i + len(his)]
-            ws = list(map(sub, his, los))
-            if one_sided:  # each width certified, at its first panel's rate, before any value
-                rates = rates_of(i, ws)
-                for w, rate in zip(ws, rates):
-                    if w not in rated:
-                        datum = bounds.NormData(endpoint_diff_rate=rate)
-                        rated[w] = bounds.certify(specs[w], certificate, datum, band)
-                        covers = rated[w].covers_perturbed_rule
-                budgets.extend(bounds._one_sided(band, rates, ws, specs)[0])
-            values = list(map(math.fsum, zip(*_rule_terms(column, theta, n, los, his, ws,
-                                                           coefficients))))
-            if not covers:
-                return values
-            if not one_sided:  # the rates the values fold in, read after them
-                rates = rates_of(i, ws)
-            integrals = map(_INTEGRAL, map(specs.__getitem__, ws))
-            return map(add, values, map(mul, integrals, rates))
+    def block(i: int):  # the values of the panels from edges[i] on
+        nonlocal covers
+        his = edges[i + 1:i + _BLOCK + 1]
+        los = edges[i:i + len(his)]
+        ws = list(map(sub, his, los))
+        if one_sided:  # each width certified, at its first panel's rate, before any value
+            rates = rates_of(i, ws)
+            for w, rate in zip(ws, rates):
+                if w not in rated:
+                    datum = bounds.NormData(endpoint_diff_rate=rate)
+                    rated[w] = bounds.certify(specs[w], certificate, datum, band)
+                    covers = rated[w].covers_perturbed_rule
+            budgets.extend(bounds._one_sided(band, rates, ws, specs)[0])
+        values = list(map(math.fsum, zip(*_rule_terms(column, theta, n, los, his, ws,
+                                                       coefficients))))
+        if not covers:
+            return values
+        if not one_sided:  # the rates the values fold in, read after them
+            rates = rates_of(i, ws)
+        integrals = map(_INTEGRAL, map(specs.__getitem__, ws))
+        return map(add, values, map(mul, integrals, rates))
 
-        blocks = map(block, range(0, panels, step))
-        value = math.fsum(next(blocks) if panels <= step else chain.from_iterable(blocks))
-        return value, budgets, covers
-
-    value, budgets, covers = f._read(spec.a, spec.b, n - 1, run)
+    blocks = map(block, range(0, panels, _BLOCK))
+    value = math.fsum(next(blocks) if panels <= _BLOCK else chain.from_iterable(blocks))
     return _finite(value, spec.a, spec.b), budgets, covers
 
 
@@ -262,6 +257,7 @@ def true_error(
     of it on [spec.a, spec.b] at ``tol``, or across a sweep of specs on one
     interval, the oracle's nodes are read once.
     """
+    _check_tol(tol)
     value, _, _ = _rule_panels(f, spec, 1, perturbed)
     return abs(reference_integral(f, spec.a, spec.b, tol=tol) - value)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
-from .errors import CapabilityError, ConvergenceError, DomainError, ValidationError
+from .errors import CapabilityError, DomainError, ValidationError
 from .errors import check_int, check_interval
 from .kernel import RuleSpec, _Memo
 from .poly import domain_slack
@@ -63,13 +63,16 @@ class Integrand:
     rejected, and a rule value that overflows from finite ones raises
     OverflowError, so no budget is ever stated for a non-finite rule value.
     The optional ``derivatives_fn(k, xs)`` returns the list of f^(k)(x) for
-    x in xs, the same values ``derivative_fn`` gives, in fewer calls.
+    x in xs, the same values ``derivative_fn`` gives, in fewer calls; one
+    that lists another number of values raises ValidationError.
 
-    ``eval_derivative`` checks all of this on every call.  Every reader of f
-    goes through ``_read``, one derivative order at a block of points:
-    unchecked where the checks hold for a whole interval, and a replay
-    through eval_derivative if the pass fails.  ``derivative_fn`` is assumed
-    to be a function of (k, x): the replay reads it again, and
+    Every reader of f, ``eval_derivative`` included, reads it through
+    ``_column``, one derivative order at a list of points, with every check
+    made on each column once it is read; so of several faults the one
+    raised is in the first column, in the order the reader reads them, that
+    has one, and an exception of the integrand's own comes before the
+    checks of the column it is raised in.
+    ``derivative_fn`` is assumed to be a function of (k, x):
     ``integrate.reference_integral`` keeps its last result with the
     instance, which is neither shown nor compared.
     """
@@ -91,60 +94,52 @@ class Integrand:
 
     def eval_derivative(self, order: int, x: float) -> float:
         check_int("derivative order", order, 0)
-        if self.max_order is not None and order > self.max_order:
+        return self._column(True, order, [x])[0]
+
+    def _read(self, a: float, b: float) -> Callable[[int, list], list]:
+        """column(k, xs), the list of f^(k)(x) for x in xs, for a reader of
+        [a, b]: x in [a, b], a midpoint of two such x, or a node of the
+        oracle.  An end of [a, b] outside the padded domain raises the
+        DomainError at once.  Points are checked against the domain, and
+        clamped into it, only where they may leave it: where [a, b] reaches
+        into the slack, a midpoint may overflow, or [a, b] is so narrow that
+        a node may round past its ends."""
+        self._clamped([a, b])
+        lo, hi = self.domain
+        inside = (lo <= a and b <= hi and math.isfinite(a + a) and math.isfinite(b + b)
+                  and b - a >= 2**-32 * max(abs(a), abs(b)) + 2**-1000)
+        return partial(self._column, not inside)
+
+    def _column(self, clamp: bool, k: int, xs: list) -> list:
+        """f^(k) at xs, read once: from ``derivatives_fn``, else
+        ``derivative_fn`` point by point, at xs ``_clamped`` if ``clamp``.
+        Raises CapabilityError above ``max_order``, ValidationError for a
+        list of the wrong length, and for a non-finite value, naming the
+        first such point of xs."""
+        if self.max_order is not None and k > self.max_order:
             raise CapabilityError(
                 f"integrand supplies derivatives up to order {self.max_order}, "
-                f"order {order} requested"
+                f"order {k} requested"
             )
-        lo, hi = self.domain
-        if x < self._padded[0] or x > self._padded[1]:
-            raise DomainError(f"x={x!r} outside integrand domain [{lo!r}, {hi!r}]")
-        value = self.derivative_fn(order, min(max(x, lo), hi))
-        if not math.isfinite(value):
-            raise ValidationError(f"derivative of order {order} at x={x!r} is {value!r}")
-        return value
-
-    def _read(self, a: float, b: float, order: int, run: Callable[..., tuple]) -> tuple:
-        """run(column, checked), where column(k, xs) is the list of f^(k)(x)
-        for x in xs, k <= ``order`` and x in [a, b] or a midpoint of two such
-        x; run raises, or returns a tuple led by a non-finite item, if a value
-        read is non-finite.  An end of [a, b] outside the padded domain raises
-        the DomainError.  Where every other check holds for such reads, the
-        first pass reads ``derivatives_fn`` (else ``derivative_fn`` point by
-        point) with checked=False; its result is kept if its first item is
-        finite, and a ConvergenceError from it is final.  Otherwise the
-        replay reads through eval_derivative with checked=True, in which a
-        reader takes one panel at a time, and its result is returned as is.
-        A derivatives_fn that lists the wrong number of values fails the
-        first pass, so its values are never paired with the wrong points."""
-        for x in (a, b):
-            if not self._padded[0] <= x <= self._padded[1]:
-                self.eval_derivative(0, x)  # raises the DomainError
-        lo, hi = self.domain
-        capable = self.max_order is None or order <= self.max_order
-        if capable and lo <= a and b <= hi and math.isfinite(a + a) and math.isfinite(b + b):
-            try:
-                result = run(self._column, False)
-                if math.isfinite(result[0]):
-                    return result
-            except Exception as error:  # the checked pass below raises it again
-                if isinstance(error, ConvergenceError):  # every value read was finite
-                    raise
-        return run(self._checked_column, True)
-
-    def _column(self, k: int, xs: list) -> list:
-        """f^(k) at xs as _read's first pass reads it, without the checks."""
+        points = self._clamped(xs) if clamp else xs
         many, fn = self.derivatives_fn, self.derivative_fn
-        values = many(k, xs) if many else [fn(k, x) for x in xs]
+        values = many(k, points) if many else [fn(k, x) for x in points]
         if len(values) != len(xs):
             raise ValidationError(f"derivatives_fn listed {len(values)} values of order {k} "
                                   f"at {len(xs)} points")
+        if not math.isfinite(sum(values)):  # one test per column; finite sums may overflow
+            for x, value in zip(xs, values):
+                if not math.isfinite(value):
+                    raise ValidationError(f"derivative of order {k} at x={x!r} is {value!r}")
         return values
 
-    def _checked_column(self, k: int, xs: list) -> list:
-        """f^(k) at xs through eval_derivative, as _read's replay reads it."""
-        checked = self.eval_derivative
-        return [checked(k, x) for x in xs]
+    def _clamped(self, xs: list) -> list:
+        """xs clamped into the domain; DomainError at the first x beyond its slack."""
+        (lo, hi), (low, high) = self.domain, self._padded
+        for x in xs:
+            if x < low or x > high:
+                raise DomainError(f"x={x!r} outside integrand domain [{lo!r}, {hi!r}]")
+        return [min(max(x, lo), hi) for x in xs]
 
 
 @dataclass(frozen=True)
@@ -221,15 +216,9 @@ def apply_rule(f: Integrand, spec: RuleSpec) -> QuadratureResult:
     perturbation is int K times the mean of f^(n), (f^(n-1)(b) - f^(n-1)(a)) / (b - a).
     A non-finite f_n_value (so any non-finite base_value) raises OverflowError."""
     a, b, n, theta = spec.a, spec.b, spec.n, spec.theta
-
-    def run(column: Callable, _checked: bool) -> tuple[float, list, float | None]:
-        columns = _rule_terms(column, theta, n, [a], [b], [b - a], _coefficients(theta, n))
-        terms = [term for term, in columns]
-        if n % 2:
-            return math.fsum(terms), terms, None
-        perturbation = spec.stats.integral * _mean_rate(column, n, a, b)
-        return math.fsum(terms) + perturbation, terms, perturbation
-
-    _, terms, perturbation = f._read(a, b, n - 1, run)
+    column = f._read(a, b)
+    columns = _rule_terms(column, theta, n, [a], [b], [b - a], _coefficients(theta, n))
+    terms = [term for term, in columns]
+    perturbation = None if n % 2 else spec.stats.integral * _mean_rate(column, n, a, b)
     f_n_value = _finite(math.fsum(terms), a, b)  # an fsum is finite only over finite terms
     return QuadratureResult(terms[0], tuple(terms[1:]), f_n_value, perturbation, spec)

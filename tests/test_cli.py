@@ -528,7 +528,7 @@ def test_orders_past_the_kernel_range_exit_2(capsys, argv):
 
 @pytest.mark.parametrize("argv, where", [
     (["integrate", "--f", "exp", "--n", "2", "--theta", "0", "--a", "0", "--b", "800"],
-     "of order 0 overflows a float on [800.0, 800.0]"),
+     "of order 0 overflows a float on [0.0, 800.0]"),
     (["integrate", "--f", "exp", "--n", "2", "--theta", "0", "--a", "0", "--b", "800",
       "--bound", "l2"], "of order 2 overflows a float on [0.0, 800.0]"),
     (["bound", "--bound", "linf", "--f", "exp", "--n", "2", "--theta", "0", "--a", "0",

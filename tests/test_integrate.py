@@ -277,8 +277,8 @@ def test_a_convergence_error_is_raised_again_on_every_call():
 
 
 def test_an_error_of_the_integrand_is_raised_again_on_every_call():
-    """The first pass raises it, the replay raises it again, and so does
-    the next call, after reading as much again."""
+    """The pass raises it at the first raising node, and so does the next
+    call, after reading as much again."""
     reads = []
 
     def derivative_fn(order, x):
@@ -291,7 +291,7 @@ def test_an_error_of_the_integrand_is_raised_again_on_every_call():
     for times in (1, 2):
         with pytest.raises(KeyError):
             reference_integral(f, 0.0, 1.0)
-        assert len(reads) == times * 2 * 13  # each pass stops at the 13th node, x = 0.924...
+        assert len(reads) == times * 13  # each call stops at the 13th node, x = 0.924...
     with pytest.raises(ValidationError, match="tol must be positive"):
         reference_integral(f, 0.0, 1.0, tol=0.0)
 
@@ -323,6 +323,17 @@ def test_the_oracle_checks_tol_before_anything_else(a, b, tol):
         reference_integral(f, a, b, tol=tol)
     with pytest.raises(ValidationError, match=r"^tol must be positive, got "):
         true_error(f, spec(0.5, 2), tol=tol)
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_true_error_checks_tol_before_the_rule_runs(tol):
+    """exp(800) overflows the rule's first read; an invalid tol is refused
+    before it, and before any read."""
+    f, calls = counted(Exponential(), 0.0, 800.0)
+    for g in (Exponential().integrand(0.0, 800.0), f):
+        with pytest.raises(ValidationError, match=rf"^tol must be positive, got {tol!r}$"):
+            true_error(g, RuleSpec(0.5, 2, 0.0, 800.0), tol=tol)
+    assert calls == {}
 
 
 def test_true_error_for_the_worked_midpoint_example():
@@ -576,11 +587,10 @@ def test_calls_that_share_a_spec_and_a_panel_count_share_the_panel_specs(monkeyp
 
 
 @pytest.mark.parametrize("drop", [0, -1])
-def test_a_derivatives_fn_that_lists_the_wrong_number_of_values_is_not_trusted(drop):
+def test_a_derivatives_fn_that_lists_the_wrong_number_of_values_is_refused(drop):
     """A derivatives_fn that drops a value would pair the rest with the wrong
-    points and panels.  Its first pass fails, so the values are read through
-    derivative_fn point by point instead, and every result equals the
-    integrand that has no derivatives_fn."""
+    points and panels.  Every reader raises ValidationError naming both
+    counts, at the first column it lists short."""
     fn, a, b, n = Runge(), -1.2, 2.5, 4
     norms, band = fn.norm_data(n, a, b), fn.band(n, a, b)
 
@@ -590,15 +600,28 @@ def test_a_derivatives_fn_that_lists_the_wrong_number_of_values_is_not_trusted(d
         return values
 
     wrong = Integrand(fn.derivative, (a, b), derivatives_fn=short)
-    plain = Integrand(fn.derivative, (a, b))
     s = spec(0.3, n, a, b)
+
+    def refused(order, points):
+        return pytest.raises(ValidationError, match=rf"^derivatives_fn listed {points - 1} "
+                                                     rf"values of order {order} at {points} points$")
+
     for panels in (1, 2, 300):
-        for kind in ("linf", "band"):
-            results = [composite_integrate(f, s, panels, kind, norms=norms, band=band)
-                       for f in (wrong, plain)]
-            assert results[0] == results[1], (panels, kind)
-    assert apply_rule(wrong, s) == apply_rule(plain, s)
-    assert reference_integral(wrong, a, b) == reference_integral(plain, a, b)
+        block = min(panels, _BLOCK)
+        with refused(0, 3 * block):  # the first block's f at its midpoints and edges
+            composite_integrate(wrong, s, panels, "linf", norms=norms)
+        with refused(n - 1, block + 1):  # a one-sided band reads the rates first
+            composite_integrate(wrong, s, panels, "band", band=band)
+    with refused(0, 3):
+        apply_rule(wrong, s)
+    with refused(0, 3):
+        true_error(wrong, s)
+    with refused(0, 15):  # the oracle's first level
+        reference_integral(wrong, a, b)
+    with refused(2, 1):  # one node at a time
+        sigma_functional(wrong, 2, a, b)
+    with refused(1, 1):
+        wrong.eval_derivative(1, 0.5)
 
 
 @pytest.mark.parametrize(
@@ -766,9 +789,9 @@ def test_nan_derivative_is_rejected_not_certified():
 
 
 def test_failed_evaluations_raise_the_eval_derivative_errors():
-    """The panel loop, apply_rule, the oracle and sigma_functional skip the
-    per-call checks only while they pass; a failure raises what
-    eval_derivative raises for that point."""
+    """The panel loop, apply_rule, the oracle and sigma_functional check each
+    column as they read it; a failure raises what eval_derivative raises for
+    that point."""
 
     def nan_at_the_end(order, x):
         return math.nan if x > 0.95 else math.exp(x)
@@ -792,7 +815,7 @@ def test_failed_evaluations_raise_the_eval_derivative_errors():
     g = Integrand(derivative_fn=nan_near_three_quarters, domain=(0.0, 1.0))
     with pytest.raises(ValidationError, match=r"^derivative of order 0 at x=0\.75 is nan$"):
         reference_integral(g, 0.0, 1.0)
-    assert reads == {0: 45 + 38}  # the first pass stops at the NaN level, not at 4096 panels
+    assert reads == {0: 45}  # the pass stops at the NaN level, not at 4096 panels
 
     outside = r"^x=1\.5 outside integrand domain \[0\.0, 1\.0\]$"
     with pytest.raises(DomainError, match=outside):
@@ -861,17 +884,30 @@ def test_failed_evaluations_raise_the_eval_derivative_errors():
         composite_integrate(huge, spec(0.0, 3, 0.0, 10.0), 2, "linf", norms=norms)
 
 
-def test_a_failed_pass_is_replayed_in_the_order_of_a_point_reader():
-    """The first pass reads a block's midpoints before its edges; the checked
-    replay reads panel by panel, f(mid), f(lo), f(hi), so it raises at the
-    edge 0.4 of the fourth panel, not at the fifth panel's midpoint 0.45."""
+def test_several_faults_raise_the_first_in_block_order():
+    """The panel loop reads a block's midpoints before its edges, so of the
+    NaNs from the edge 0.4 of the fourth panel on it raises at the fifth
+    panel's midpoint 0.45, the first bad point of the first column read.  In
+    the second block of 512 panels it reads f before f'', so it raises at a
+    NaN of f near 1, not at the one of f'' near 0.5, which a reader going
+    panel by panel would meet first."""
 
     def nan_from_an_edge(order, x):
         return math.nan if 0.38 <= x <= 0.46 else math.exp(x)
 
     f = Integrand(derivative_fn=nan_from_an_edge, domain=(0.0, 1.0))
-    with pytest.raises(ValidationError, match=r"^derivative of order 0 at x=0\.4 is nan$"):
+    with pytest.raises(ValidationError, match=r"^derivative of order 0 at x=0\.45 is nan$"):
         composite_integrate(f, spec(0.5, 4), 10, "linf", norms=NormData(linf=math.e))
+
+    def two_faults_past_the_first_block(order, x):  # f'' near 0.5, f near 1
+        if order == 2 and 0.5 < x < 0.51 or order == 0 and x > 0.9:
+            return math.nan
+        return math.exp(x)
+
+    f = Integrand(derivative_fn=two_faults_past_the_first_block, domain=(0.0, 1.0))
+    message = r"^derivative of order 0 at x=0\.9013671875 is nan$"  # the first such midpoint
+    with pytest.raises(ValidationError, match=message):
+        composite_integrate(f, spec(0.5, 4), 2 * _BLOCK, "linf", norms=NormData(linf=math.e))
 
 
 def test_too_wide_an_interval_names_the_kernel_statistics():
