@@ -8,102 +8,47 @@ turns them into error certificates (L1/L2/sup/band/one-sided/perturbed/
 sharp), composes the rules over uniform panels with per-panel budgets, and
 ships a verification harness that checks every kernel closed form against
 exact rational arithmetic.
+
+Importing the package loads none of its modules.  ``_EXPORTS`` maps each
+module to the names it exports; the first read of a name, or of a module
+by its own name, imports that module (PEP 562), so ``thetaquad.cli`` loads
+only what each subcommand runs.
 """
 
 from __future__ import annotations
 
-from .bounds import (
-    CERTIFICATES,
-    CertificateKind,
-    DerivativeBand,
-    ErrorCertificate,
-    NormData,
-    certify,
-)
-from .errors import (
-    CapabilityError,
-    ConvergenceError,
-    DomainError,
-    ThetaQuadError,
-    ValidationError,
-)
-from .functions import (
-    BUILTIN_NAMES,
-    Exponential,
-    PolynomialFunction,
-    Runge,
-    Sine,
-    parse_function,
-)
-from .integrate import (
-    CompositeResult,
-    SharpnessReport,
-    composite_integrate,
-    extremal_integrand,
-    reference_integral,
-    sharpness_check,
-    sigma_functional,
-    true_error,
-)
-from .kernel import (
-    KernelStats,
-    RuleSpec,
-    kernel_stats_brute,
-    kernel_stats_closed,
-)
-from .poly import PiecewisePolynomial
-from .rules import (
-    PRESETS,
-    Integrand,
-    QuadratureResult,
-    apply_rule,
-    preset,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # poly
-    "PiecewisePolynomial",
-    # kernel
-    "RuleSpec",
-    "KernelStats",
-    "kernel_stats_closed",
-    "kernel_stats_brute",
-    # rules
-    "Integrand",
-    "QuadratureResult",
-    "PRESETS",
-    "preset",
-    "apply_rule",
-    # bounds
-    "NormData",
-    "DerivativeBand",
-    "CertificateKind",
-    "ErrorCertificate",
-    "CERTIFICATES",
-    "certify",
-    # integrate
-    "CompositeResult",
-    "SharpnessReport",
-    "reference_integral",
-    "sigma_functional",
-    "true_error",
-    "composite_integrate",
-    "sharpness_check",
-    "extremal_integrand",
-    # functions
-    "Exponential",
-    "Sine",
-    "Runge",
-    "PolynomialFunction",
-    "parse_function",
-    "BUILTIN_NAMES",
-    # errors
-    "ThetaQuadError",
-    "ValidationError",
-    "DomainError",
-    "CapabilityError",
-    "ConvergenceError",
-]
+_EXPORTS = {
+    "poly": ("PiecewisePolynomial",),
+    "kernel": ("RuleSpec", "KernelStats", "kernel_stats_closed", "kernel_stats_brute"),
+    "rules": ("Integrand", "QuadratureResult", "PRESETS", "preset", "apply_rule"),
+    "bounds": ("NormData", "DerivativeBand", "CertificateKind", "ErrorCertificate",
+               "CERTIFICATES", "certify"),
+    "integrate": ("CompositeResult", "SharpnessReport", "reference_integral",
+                  "sigma_functional", "true_error", "composite_integrate",
+                  "sharpness_check", "extremal_integrand"),
+    "functions": ("Exponential", "Sine", "Runge", "PolynomialFunction", "parse_function",
+                  "BUILTIN_NAMES"),
+    "errors": ("ThetaQuadError", "ValidationError", "DomainError", "CapabilityError",
+               "ConvergenceError"),
+    "cli": (),  # exports nothing here: read as thetaquad.cli
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_OWNER]
+
+
+def __getattr__(name: str):
+    owner = _OWNER.get(name, name)
+    if owner not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{owner}")
+    globals()[name] = value = module if owner == name else getattr(module, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -11,31 +11,29 @@ shortest round-trip repr, so every value parses back to the identical float
 and identical invocations produce byte-identical output.  Exit codes:
 0 success, 2 validation/usage error or floating-point overflow, 3 oracle
 non-convergence.
+
+Each subcommand imports the modules it runs when it runs, so ``kernel``
+loads neither the rules nor the integrands, and ``bound`` not the composite
+loop.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
 import argparse
 
-from .bounds import CERTIFICATES, DerivativeBand, ErrorCertificate, NormData, certify, reads_rate
+from .bounds import CERTIFICATES
 from .errors import ConvergenceError, ThetaQuadError, ValidationError
-from .functions import AnalyticFunction, parse_function
-from .integrate import (
-    DEFAULT_ORACLE_TOL,
-    _rule_panels,
-    composite_integrate,
-    reference_integral,
-    sharpness_check,
-)
-from .kernel import KernelStats, RuleSpec, kernel_stats_brute, kernel_stats_closed
-from .rules import apply_rule, preset
+from .kernel import RuleSpec
+
+if TYPE_CHECKING:
+    from .bounds import DerivativeBand, ErrorCertificate, NormData
+    from .functions import AnalyticFunction
+    from .kernel import KernelStats
 
 __all__ = ["run_cli", "main"]
 
@@ -47,6 +45,8 @@ ORACLE_TOL_ENV = "THETAQUAD_ORACLE_TOL"
 def _oracle_tol() -> float:
     raw = os.environ.get(ORACLE_TOL_ENV)
     if raw is None:
+        from .integrate import DEFAULT_ORACLE_TOL
+
         return DEFAULT_ORACLE_TOL
     try:
         tol = float(raw)
@@ -159,7 +159,11 @@ def _rule_spec(args: argparse.Namespace) -> RuleSpec:
         raise ValidationError("pass either --theta or --rule, not both")
     if rule is None and args.theta is None:
         raise ValidationError("one of --theta or --rule is required")
-    theta = preset(rule) if rule is not None else args.theta
+    theta = args.theta
+    if rule is not None:
+        from .rules import preset
+
+        theta = preset(rule)
     return RuleSpec(theta=theta, n=args.n, a=args.a, b=args.b)
 
 
@@ -177,10 +181,15 @@ def _record(command: str, inputs: dict, results: dict) -> dict:
 
 
 def _print_json(record: dict) -> None:
+    import json
+
     sys.stdout.write(json.dumps(record, indent=2) + "\n")
 
 
 def _csv_text(header: list[str], rows: list[list[object]]) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -225,6 +234,8 @@ def _certificate_inputs(
     ``reads_rate`` says so; every other kind reads its CERTIFICATES field,
     and no certificate (``kind`` None) reads none.
     """
+    from .bounds import DerivativeBand, NormData, reads_rate
+
     n, a, b = spec.n, spec.a, spec.b
     band, field = None, CERTIFICATES.get(kind)
     if kind == "band":
@@ -258,6 +269,9 @@ def _certificate_inputs(
 
 
 def _cmd_integrate(args: argparse.Namespace) -> None:
+    from .functions import parse_function
+    from .integrate import _rule_panels, composite_integrate, reference_integral
+
     fn = parse_function(args.f)
     spec = _rule_spec(args)
     integrand = fn.integrand(args.a, args.b)
@@ -296,6 +310,9 @@ def _cmd_integrate(args: argparse.Namespace) -> None:
 
 
 def _cmd_bound(args: argparse.Namespace) -> None:
+    from .bounds import certify
+    from .functions import parse_function
+
     fn = parse_function(args.f) if args.f is not None else None
     spec = _rule_spec(args)
     kind = args.bound
@@ -320,6 +337,8 @@ def _kernel_payload(stats: KernelStats) -> dict:
 
 
 def _cmd_kernel(args: argparse.Namespace) -> None:
+    from .kernel import kernel_stats_brute, kernel_stats_closed
+
     spec = _rule_spec(args)
     results = _kernel_payload(kernel_stats_closed(spec))
     if args.brute_force:
@@ -350,6 +369,11 @@ def _parse_theta_grid(text: str) -> list[float]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> None:
+    from .bounds import certify
+    from .functions import parse_function
+    from .integrate import reference_integral
+    from .rules import apply_rule
+
     fn = parse_function(args.f)
     grid = _parse_theta_grid(args.theta_grid)
     integrand = fn.integrand(args.a, args.b)
@@ -380,6 +404,8 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
 
 
 def _cmd_sharpness(args: argparse.Namespace) -> None:
+    from .integrate import sharpness_check
+
     spec = _rule_spec(args)
     report = sharpness_check(spec, end_to_end=args.end_to_end)
     results = {"lhs": report.lhs, "rhs": report.rhs, "ratio": report.ratio}

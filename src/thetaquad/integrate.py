@@ -13,7 +13,7 @@ from . import bounds
 from .errors import ConvergenceError, ValidationError, check_int, check_interval
 from .kernel import RuleSpec, kernel_stats_brute
 from .poly import PiecewisePolynomial, _antiderivative_coeffs
-from .rules import Integrand, _coefficients, _finite, _Memo, _rule_terms
+from .rules import Integrand, _checked_sum, _coefficients, _Memo, _rule_terms, _rule_value
 
 __all__ = [
     "DEFAULT_ORACLE_TOL",
@@ -70,11 +70,12 @@ _GL_WEIGHTS = tuple(reversed(_GL_HALF_WEIGHTS[1:])) + _GL_HALF_WEIGHTS
 
 def _gl_panels(column, edges: list) -> list[float]:
     """The 15-node rule on each panel between consecutive ``edges``;
-    column(k, xs) lists f^(k)(x) for x in xs, here read once."""
+    column(k, xs) lists f^(k)(x) for x in xs, here read once, before any sum."""
     halves = [0.5 * (hi - lo) for lo, hi in zip(edges, islice(edges, 1, None))]
     centers = [0.5 * (hi + lo) for lo, hi in zip(edges, islice(edges, 1, None))]
     values = iter(column(0, [c + h * x for c, h in zip(centers, halves) for x in _GL_NODES]))
-    return [h * math.fsum(map(mul, _GL_WEIGHTS, islice(values, len(_GL_NODES)))) for h in halves]
+    sums = (h * math.fsum(map(mul, _GL_WEIGHTS, islice(values, len(_GL_NODES)))) for h in halves)
+    return _checked_sum(list, sums, edges[0], edges[-1])
 
 
 def _panel_edges(a: float, b: float, panels: int) -> list[float]:
@@ -104,8 +105,10 @@ def reference_integral(
     ``Integrand._read``, once, each column checked as it is read: a
     non-finite value raises ValidationError at the first such node of the
     first level that reads one.  A level whose sum overflows from finite
-    values is never the result.  On an interval so narrow that a node may round
-    past [a, b], the nodes are clamped into the domain.
+    values is never the result; where it overflows ``math.fsum`` itself,
+    ``rules._checked_sum`` raises OverflowError naming [a, b].  On an
+    interval so narrow that a node may round past [a, b], the nodes are
+    clamped into the domain.
 
     The last result is kept with ``f``, for one (a, b, tol) only, as
     ``RuleSpec._panels`` keeps its last partition: a second call on the same
@@ -131,8 +134,8 @@ def reference_integral(
     previous, panels = math.nan, 1
     while panels <= MAX_ORACLE_PANELS:
         edges = _panel_edges(a, b, panels)
-        value = math.fsum(chain.from_iterable(
-            _gl_panels(column, edges[i:i + _BLOCK + 1]) for i in range(0, panels, _BLOCK)))
+        blocks = [_gl_panels(column, edges[i:i + _BLOCK + 1]) for i in range(0, panels, _BLOCK)]
+        value = _checked_sum(math.fsum, chain.from_iterable(blocks), a, b)
         if abs(value - previous) < tol * (1.0 + abs(value)):
             f.__dict__["_kept_reference"] = ((a, b, tol), value)
             return value
@@ -187,7 +190,8 @@ def _rule_panels(
     exactly when the certificate covers it.  One pass walks the panels in
     blocks of _BLOCK, reading each column of ``rules._rule_terms`` once per
     block through ``Integrand._read``; f^(n-1) at a block's last edge is kept
-    for the next.  A non-finite value raises OverflowError.
+    for the next.  Every panel is read before the values are summed, once; a
+    sum that overflows, or a non-finite value, raises OverflowError.
     """
     check_int("panels", panels, 1)
     theta, n = spec.theta, spec.n
@@ -229,18 +233,17 @@ def _rule_panels(
                     rated[w] = bounds.certify(specs[w], certificate, datum, band)
                     covers = rated[w].covers_perturbed_rule
             budgets.extend(bounds._one_sided(band, rates, ws, specs)[0])
-        values = list(map(math.fsum, zip(*_rule_terms(column, theta, n, los, his, ws,
-                                                       coefficients))))
+        terms = _rule_terms(column, theta, n, los, his, ws, coefficients)
+        values = _checked_sum(list, map(math.fsum, zip(*terms)), los[0], his[-1])
         if not covers:
             return values
         if not one_sided:  # the rates the values fold in, read after them
             rates = rates_of(i, ws)
         integrals = map(_INTEGRAL, map(specs.__getitem__, ws))
-        return map(add, values, map(mul, integrals, rates))
+        return list(map(add, values, map(mul, integrals, rates)))
 
-    blocks = map(block, range(0, panels, _BLOCK))
-    value = math.fsum(next(blocks) if panels <= _BLOCK else chain.from_iterable(blocks))
-    return _finite(value, spec.a, spec.b), budgets, covers
+    blocks = list(map(block, range(0, panels, _BLOCK)))
+    return _rule_value(chain.from_iterable(blocks), spec.a, spec.b), budgets, covers
 
 
 def true_error(
@@ -308,7 +311,7 @@ def composite_integrate(
         value=value,
         panels=panels,
         per_panel_bound=tuple(budgets),
-        total_bound=math.fsum(budgets),
+        total_bound=_checked_sum(math.fsum, budgets, spec.a, spec.b),
         certificate_kind=certificate,
         covers_perturbed_rule=covers,
     )

@@ -188,7 +188,7 @@ def _rule_terms(column: Callable, theta, n: int, los: list, his: list, widths: l
     midpoints, then the left and the right edges, and once for each f^(2),
     f^(4), ... at the midpoints.  ``coefficients`` is ``_coefficients(theta,
     n)``, kept by the caller across calls.  Integer literals only, so
-    Fractions stay exact and floats keep their bits (callers use ``math.fsum``).
+    Fractions stay exact and floats keep their bits (callers sum with ``_checked_sum``).
     """
     keep, blend = 1 - theta, theta / 2
     mids = [(lo + hi) / 2 for lo, hi in zip(los, his)]
@@ -202,9 +202,23 @@ def _rule_terms(column: Callable, theta, n: int, los: list, his: list, widths: l
     return terms
 
 
-def _finite(value: float, a: float, b: float) -> float:
-    """``value``, a rule value on [a, b] formed from finite derivative values;
-    OverflowError where their arithmetic overflowed it to inf or NaN."""
+def _checked_sum(summed: Callable, values, a: float, b: float):
+    """summed(values): ``math.fsum`` of values already read on [a, b], or
+    ``list`` of lazy fsums over rows of them.  Where fsum overflows
+    ("intermediate overflow", or "-inf + inf" from values overflowed to
+    inf), OverflowError naming [a, b].  Nothing in ``values`` reads f, so no
+    ValueError or OverflowError of a reader is renamed."""
+    try:
+        return summed(values)
+    except (OverflowError, ValueError) as exc:
+        raise OverflowError(f"a sum on [{a!r}, {b!r}] overflows: {exc}") from None
+
+
+def _rule_value(terms, a: float, b: float) -> float:
+    """The rule value on [a, b], the checked sum of its ``terms`` formed from
+    finite derivative values; OverflowError where their arithmetic
+    overflowed it to inf or NaN."""
+    value = _checked_sum(math.fsum, terms, a, b)
     if not math.isfinite(value):
         raise OverflowError(f"the rule value on [{a!r}, {b!r}] is {value!r}: "
                             f"finite derivative values overflow its arithmetic")
@@ -220,5 +234,5 @@ def apply_rule(f: Integrand, spec: RuleSpec) -> QuadratureResult:
     columns = _rule_terms(column, theta, n, [a], [b], [b - a], _coefficients(theta, n))
     terms = [term for term, in columns]
     perturbation = None if n % 2 else spec.stats.integral * _mean_rate(column, n, a, b)
-    f_n_value = _finite(math.fsum(terms), a, b)  # an fsum is finite only over finite terms
+    f_n_value = _rule_value(terms, a, b)  # an fsum is finite only over finite terms
     return QuadratureResult(terms[0], tuple(terms[1:]), f_n_value, perturbation, spec)

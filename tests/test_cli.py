@@ -14,7 +14,6 @@ import pytest
 from thetaquad import (
     CERTIFICATES, ConvergenceError, Exponential, RuleSpec, Runge, composite_integrate,
 )
-from thetaquad import cli as cli_mod
 from thetaquad.cli import run_cli
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -544,6 +543,18 @@ def test_an_overflowing_builtin_is_named(capsys, argv, where):
     assert err == f"thetaquad: floating-point overflow: exp: derivative {where}\n"
 
 
+def test_a_panel_sum_that_overflows_names_the_interval(capsys):
+    """Finite values of f whose panel sum overflows: fsum's own error is
+    renamed, and names the interval, as an overflowed total does."""
+    code, out, err = run(
+        capsys, "integrate", "--f", "poly:0,-0,1e300", "--n", "7", "--a", "100",
+        "--b", "900.0", "--theta", "0.37", "--panels", "3",
+    )
+    assert (code, out) == (2, "")
+    assert err == ("thetaquad: floating-point overflow: a sum on [100.0, 900.0] overflows: "
+                   "intermediate overflow in fsum\n")
+
+
 def test_n_98_certifies_and_the_plain_rule_value_keeps_its_range(capsys):
     for n in ("98", "99", "100"):
         record = run_json(capsys, "integrate", "--f", "exp", "--n", n, "--theta", "0.5",
@@ -578,7 +589,8 @@ def test_convergence_failure_exits_3(capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise ConvergenceError("reference integral did not stabilize")
 
-    monkeypatch.setattr(cli_mod, "reference_integral", explode)
+    # the CLI reads the oracle from its module when the subcommand runs
+    monkeypatch.setattr("thetaquad.integrate.reference_integral", explode)
     code, _, err = run(
         capsys, "integrate", "--f", "exp", "--n", "2", "--theta", "0",
         "--a", "0", "--b", "1",

@@ -559,6 +559,32 @@ def test_a_rule_value_that_overflows_from_finite_values_is_refused():
         apply_rule(largest, spec(0.0, 2))  # base_value = 1 * f(mid) + 0 * inf
 
 
+def test_a_sum_that_overflows_from_finite_values_names_the_interval():
+    """fsum's own errors over finite values (an intermediate overflow, or
+    panels overflowed to +inf and -inf) become OverflowError naming [a, b]
+    in the panel loop, the oracle and the budget total; an error of f itself
+    is not renamed."""
+    def opposite(k, x):  # the two panels of [0, 10] are +inf and -inf
+        return 5e307 if x < 5.0 else -5e307
+
+    f = Integrand(opposite, (0.0, 10.0))
+    with pytest.raises(OverflowError, match=r"^a sum on \[0\.0, 10\.0\] overflows: -inf \+ inf"):
+        composite_integrate(f, spec(0.0, 1, 0.0, 10.0), 2, "linf", norms=NormData(linf=1.0))
+    with pytest.raises(OverflowError, match=r"^a sum on \[0\.0, 10\.0\] overflows: "):
+        reference_integral(f, 0.0, 10.0)
+    norms = NormData(l1=1e308 / spec(0.5, 2, 0.0, 5.0).stats.max_abs)  # 1e308 a panel
+    with pytest.raises(OverflowError, match=r"^a sum on \[0\.0, 10\.0\] overflows: "):
+        composite_integrate(Exponential().integrand(0.0, 10.0), spec(0.5, 2, 0.0, 10.0), 2,
+                            "l1", norms=norms)
+
+    def raises(k, x):
+        raise ValueError("f's own")
+
+    with pytest.raises(ValueError, match="^f's own$"):
+        composite_integrate(Integrand(raises, (0.0, 1.0)), spec(0.5, 2), 2, "linf",
+                            norms=NormData(linf=1.0))
+
+
 def test_calls_that_share_a_spec_and_a_panel_count_share_the_panel_specs(monkeypatch):
     """The spec of each panel width is kept with the caller's spec for the
     last panel count only: a second certificate on the same partition forms
@@ -880,7 +906,8 @@ def test_failed_evaluations_raise_the_eval_derivative_errors():
 
     # Finite values whose panel terms, 1.5e308 each, overflow the panel's fsum
     huge = Integrand(derivative_fn=lambda k, x: 3e307 if k == 0 else 2.88e307, domain=(0.0, 10.0))
-    with pytest.raises(OverflowError, match="^intermediate overflow in fsum$"):
+    message = r"^a sum on \[0\.0, 10\.0\] overflows: intermediate overflow in fsum$"
+    with pytest.raises(OverflowError, match=message):
         composite_integrate(huge, spec(0.0, 3, 0.0, 10.0), 2, "linf", norms=norms)
 
 
