@@ -20,7 +20,6 @@ loop.
 from __future__ import annotations
 
 import math
-import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -38,24 +37,6 @@ if TYPE_CHECKING:
 __all__ = ["run_cli", "main"]
 
 SCHEMA_VERSION = "1"
-
-ORACLE_TOL_ENV = "THETAQUAD_ORACLE_TOL"
-
-
-def _oracle_tol() -> float:
-    raw = os.environ.get(ORACLE_TOL_ENV)
-    if raw is None:
-        from .integrate import DEFAULT_ORACLE_TOL
-
-        return DEFAULT_ORACLE_TOL
-    try:
-        tol = float(raw)
-    except ValueError:
-        raise ValidationError(f"{ORACLE_TOL_ENV} must be a float, got {raw!r}") from None
-    if not math.isfinite(tol) or tol <= 0.0:
-        raise ValidationError(f"{ORACLE_TOL_ENV} must be positive, got {raw!r}")
-    return tol
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reads any float as a value: alone it takes ``-inf`` or
@@ -265,20 +246,24 @@ def _certificate_inputs(
         raise ValidationError(f"certificate {kind!r} at n={n} needs --{flag} or --f")
     if flag == "rate":
         return NormData(endpoint_diff_rate=fn.endpoint_diff_rate(n, a, b), provenance="exact"), band
-    return fn.norm_data(n, a, b), band
+    norms = fn.norm_data(n, a, b)
+    if getattr(norms, field) is None:  # l2 or sigma, formed in floats
+        raise ValidationError(f"certificate {kind!r} at n={n}: the {field} of {args.f} on "
+                              f"[{a!r}, {b!r}] is not finite in floats; supply it with --{flag}")
+    return norms, band
 
 
 def _cmd_integrate(args: argparse.Namespace) -> None:
     from .functions import parse_function
-    from .integrate import _rule_panels, composite_integrate, reference_integral
+    from .integrate import DEFAULT_ORACLE_TOL, _rule_panels, composite_integrate, reference_integral
 
     fn = parse_function(args.f)
     spec = _rule_spec(args)
     integrand = fn.integrand(args.a, args.b)
-    tol = _oracle_tol()
 
     perturbed = args.perturbed
-    inputs = {"f": args.f, **_spec_inputs(spec), "panels": args.panels, "oracle_tol": tol}
+    inputs = {"f": args.f, **_spec_inputs(spec), "panels": args.panels,
+              "oracle_tol": DEFAULT_ORACLE_TOL}
 
     norms, band = _certificate_inputs(args, fn, spec, args.bound)
     if args.bound is None:
@@ -294,7 +279,7 @@ def _cmd_integrate(args: argparse.Namespace) -> None:
             )
         perturbed = composite.covers_perturbed_rule  # already folded into value
         value = composite.value
-    reference = reference_integral(integrand, spec.a, spec.b, tol=tol)
+    reference = reference_integral(integrand, spec.a, spec.b)
     results = {"value": value, "true_error": abs(reference - value)}
     inputs["perturbed"] = perturbed
     if args.bound is not None:
@@ -377,7 +362,6 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
     fn = parse_function(args.f)
     grid = _parse_theta_grid(args.theta_grid)
     integrand = fn.integrand(args.a, args.b)
-    tol = _oracle_tol()
     even = args.n % 2 == 0
 
     header = ["theta", "f_n", "true_error", *(f"bound_{kind}" for kind in CERTIFICATES)]
@@ -385,7 +369,7 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
         header += ["perturbation", "perturbed_error"]
 
     first_spec = RuleSpec(theta=grid[0], n=args.n, a=args.a, b=args.b)
-    reference = reference_integral(integrand, first_spec.a, first_spec.b, tol=tol)
+    reference = reference_integral(integrand, first_spec.a, first_spec.b)
     norms = fn.norm_data(args.n, first_spec.a, first_spec.b)
     band = fn.band(args.n, first_spec.a, first_spec.b)
 

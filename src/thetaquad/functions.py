@@ -115,6 +115,7 @@ class AnalyticFunction:
         return _mean_rate(self.derivatives, order, a, b)
 
     def norm_data(self, order: int, a: float, b: float) -> NormData:
+        """The exact norms of f^(order) on [a, b]; l2 and sigma None where not finite."""
         check_int("derivative order", order, 1)
         a, b = check_interval(a, b)
         stationary, zeros = self._critical_points(order, a, b)
@@ -128,12 +129,13 @@ class AnalyticFunction:
         )
         l2_sq = self._l2_sq(order, a, b)
         rate = self.endpoint_diff_rate(order, a, b)
+        sigma = l2_sq - rate * rate * (b - a)
         return NormData(
             l1=l1,
-            l2=math.sqrt(max(l2_sq, 0.0)),
+            l2=math.sqrt(max(l2_sq, 0.0)) if math.isfinite(l2_sq) else None,
             linf=linf,
             endpoint_diff_rate=rate,
-            sigma=max(l2_sq - rate * rate * (b - a), 0.0),
+            sigma=max(sigma, 0.0) if math.isfinite(sigma) else None,
             provenance="exact",
         )
 

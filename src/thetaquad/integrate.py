@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -68,12 +67,16 @@ _GL_NODES = tuple(-x for x in reversed(_GL_HALF_NODES[1:])) + _GL_HALF_NODES
 _GL_WEIGHTS = tuple(reversed(_GL_HALF_WEIGHTS[1:])) + _GL_HALF_WEIGHTS
 
 
-def _gl_panels(column, edges: list) -> list[float]:
-    """The 15-node rule on each panel between consecutive ``edges``;
-    column(k, xs) lists f^(k)(x) for x in xs, here read once, before any sum."""
+def _gl_nodes(edges: list) -> list[float]:
+    """The 15 nodes of each panel between consecutive ``edges``, in order."""
+    pairs = list(zip(edges, islice(edges, 1, None)))
+    return [0.5 * (hi + lo) + 0.5 * (hi - lo) * x for lo, hi in pairs for x in _GL_NODES]
+
+
+def _gl_panels(values: list, edges: list) -> list[float]:
+    """The 15-node rule on each panel between ``edges``, from ``values`` at their nodes."""
     halves = [0.5 * (hi - lo) for lo, hi in zip(edges, islice(edges, 1, None))]
-    centers = [0.5 * (hi + lo) for lo, hi in zip(edges, islice(edges, 1, None))]
-    values = iter(column(0, [c + h * x for c, h in zip(centers, halves) for x in _GL_NODES]))
+    values = iter(values)
     sums = (h * math.fsum(map(mul, _GL_WEIGHTS, islice(values, len(_GL_NODES)))) for h in halves)
     return _checked_sum(list, sums, edges[0], edges[-1])
 
@@ -88,9 +91,34 @@ def _check_tol(tol: float) -> None:
         raise ValidationError(f"tol must be positive, got {tol!r}")
 
 
-def reference_integral(
-    f: Integrand, a: float, b: float, tol: float = DEFAULT_ORACLE_TOL
-) -> float:
+def _levels(column, order: int, a: float, b: float, tol: float, powers: tuple) -> list[float]:
+    """int_a^b g**p for each p in ``powers``, g = f^(order) as column(k, xs)
+    lists it: the oracle's loop.  A level reads its nodes once per block of
+    _BLOCK panels and sums each integral still open; each stops at the first
+    level within ``tol * (1 + |value|)`` of the one before.  A power that
+    overflows raises OverflowError naming its block, as it is formed."""
+    last, open_powers = dict.fromkeys(powers, math.nan), list(powers)
+    for panels in (2**k for k in range(MAX_ORACLE_PANELS.bit_length())):  # 1, 2, 4, ...
+        edges = _panel_edges(a, b, panels)
+        sums = {p: [] for p in open_powers}
+        for i in range(0, panels, _BLOCK):
+            block = edges[i:i + _BLOCK + 1]
+            g = column(order, _gl_nodes(block))
+            for p, panel_sums in sums.items():
+                values = g if p == 1 else _checked_sum(list, (v**p for v in g), block[0], block[-1])
+                panel_sums += _gl_panels(values, block)
+        for p, panel_sums in sums.items():
+            value = _checked_sum(math.fsum, panel_sums, a, b)
+            if abs(value - last[p]) < tol * (1.0 + abs(value)):
+                open_powers.remove(p)
+            last[p] = value
+        if not open_powers:
+            return [last[p] for p in powers]
+    raise ConvergenceError(f"reference integral did not stabilize to tol={tol!r} "
+                           f"within {MAX_ORACLE_PANELS} panels")
+
+
+def reference_integral(f: Integrand, a: float, b: float, tol: float = DEFAULT_ORACLE_TOL) -> float:
     """Adaptive panel-halving Gauss-Legendre reference value of int_a^b f.
 
     Fixed 15-node panels on a uniform grid that is halved until two
@@ -101,14 +129,11 @@ def reference_integral(
     empty interval gives 0.0, and an end of [a, b] outside the domain of
     ``f`` raises DomainError.
 
-    Each level's nodes are read in blocks of _BLOCK panels through
-    ``Integrand._read``, once, each column checked as it is read: a
+    The loop is ``_levels``, reading through ``Integrand._read``: a
     non-finite value raises ValidationError at the first such node of the
-    first level that reads one.  A level whose sum overflows from finite
-    values is never the result; where it overflows ``math.fsum`` itself,
-    ``rules._checked_sum`` raises OverflowError naming [a, b].  On an
-    interval so narrow that a node may round past [a, b], the nodes are
-    clamped into the domain.
+    first level that reads one; a level sum that overflows ``math.fsum``
+    raises OverflowError naming [a, b].  On an interval so narrow that a
+    node may round past [a, b], the nodes are clamped into the domain.
 
     The last result is kept with ``f``, for one (a, b, tol) only, as
     ``RuleSpec._panels`` keeps its last partition: a second call on the same
@@ -129,20 +154,9 @@ def reference_integral(
     kept = f.__dict__.get("_kept_reference")
     if kept is not None and kept[0] == (a, b, tol):
         return kept[1]
-
-    column = f._read(a, b)
-    previous, panels = math.nan, 1
-    while panels <= MAX_ORACLE_PANELS:
-        edges = _panel_edges(a, b, panels)
-        blocks = [_gl_panels(column, edges[i:i + _BLOCK + 1]) for i in range(0, panels, _BLOCK)]
-        value = _checked_sum(math.fsum, chain.from_iterable(blocks), a, b)
-        if abs(value - previous) < tol * (1.0 + abs(value)):
-            f.__dict__["_kept_reference"] = ((a, b, tol), value)
-            return value
-        previous = value
-        panels *= 2
-    raise ConvergenceError(f"reference integral did not stabilize to tol={tol!r} "
-                           f"within {MAX_ORACLE_PANELS} panels")
+    value, = _levels(f._read(a, b), 0, a, b, tol, (1,))
+    f.__dict__["_kept_reference"] = ((a, b, tol), value)
+    return value
 
 
 def sigma_functional(
@@ -150,26 +164,20 @@ def sigma_functional(
 ) -> float:
     """sigma(f^(order)) = ||f^(order)||_2^2 - (1/(b-a)) (int f^(order))^2.
 
-    Both integrals come from the reference oracle at ``oracle_tol``, which
-    reads f^(order) once per node for both through ``Integrand._read``.  The
+    int g and int g^2, g = f^(order), come from one run of ``_levels`` at
+    ``oracle_tol``, which reads each node once and stops each integral on its
+    own, so each equals a ``reference_integral`` of g or g^2 bit for bit.  The
     result is clamped to >= 0; a raw value below -1e-12 * ||g||_2^2 means the
     oracle output is inconsistent and triggers a warning before clamping.
     """
     check_int("order", order, 0)
     a, b = check_interval(a, b)
-
-    column = f._read(a, b)
-    node = functools.cache(lambda x: column(order, [x])[0])  # one evaluation per node for both
-    g = Integrand(lambda _k, x: node(x), (a, b), max_order=0)
-    g_sq = Integrand(lambda _k, x: node(x) ** 2, (a, b), max_order=0)
-    int_g = reference_integral(g, a, b, tol=oracle_tol)
-    int_g2 = reference_integral(g_sq, a, b, tol=oracle_tol)
+    _check_tol(oracle_tol)
+    int_g, int_g2 = _levels(f._read(a, b), order, a, b, oracle_tol, (1, 2))
     raw = int_g2 - int_g * int_g / (b - a)
     if raw < -1e-12 * int_g2:
-        warnings.warn(
-            f"sigma functional came out negative ({raw!r}) beyond roundoff; clamping to 0",
-            stacklevel=2,
-        )
+        warnings.warn(f"sigma functional came out negative ({raw!r}) beyond roundoff; "
+                      "clamping to 0", stacklevel=2)
     return max(raw, 0.0)
 
 
@@ -190,14 +198,16 @@ def _rule_panels(
     exactly when the certificate covers it.  One pass walks the panels in
     blocks of _BLOCK, reading each column of ``rules._rule_terms`` once per
     block through ``Integrand._read``; f^(n-1) at a block's last edge is kept
-    for the next.  Every panel is read before the values are summed, once; a
-    sum that overflows, or a non-finite value, raises OverflowError.
+    for the next.  Certificate inputs are checked before the first read; a
+    one-sided band's budgets come from ``bounds._one_sided`` alone, a block's
+    before its values.  Every panel is read before the values are summed,
+    once; a sum that overflows, or a non-finite value, raises OverflowError.
     """
     check_int("panels", panels, 1)
     theta, n = spec.theta, spec.n
     if perturbed and n % 2 == 1:
         raise ValidationError(f"the perturbed rule needs even n, got n={n}")
-    one_sided = bounds.reads_rate(certificate, n, band)
+    one_sided = certificate == "band" and bounds._band_reads_rate(band, n)  # before any read
     # the spec of each panel width: spec itself if as wide, else kept with spec across calls
     specs = _Memo(lambda w: spec if w == spec.width else spec._panels(panels)[w])
     certs = _Memo(lambda w: bounds.certify(specs[w], certificate, norms, band))
@@ -211,8 +221,9 @@ def _rule_panels(
         raise ValidationError(f"{at}: neighbouring panel edges round to the same float")
     widths = map(sub, islice(edges, 1, None), edges)
     budgets = list(map(_BOUND, map(certs.__getitem__, widths))) if fixed else []
-    covers = certs[edges[1] - edges[0]].covers_perturbed_rule if fixed else perturbed
-    ends, rated = [], {}  # f^(n-1) at the last edge read; a one-sided certificate per width
+    covers = certs[edges[1] - edges[0]].covers_perturbed_rule if fixed else (
+        perturbed or one_sided and n % 2 == 0)  # PerturbedEven covers it, OneSidedOdd not
+    ends = []  # f^(n-1) at the last edge read
 
     def rates_of(i: int, ws: list) -> list[float]:  # f^(n-1) once per edge
         ends.extend(column(n - 1, edges[i + len(ends):i + len(ws) + 1]))
@@ -221,17 +232,11 @@ def _rule_panels(
         return rates
 
     def block(i: int):  # the values of the panels from edges[i] on
-        nonlocal covers
         his = edges[i + 1:i + _BLOCK + 1]
         los = edges[i:i + len(his)]
         ws = list(map(sub, his, los))
-        if one_sided:  # each width certified, at its first panel's rate, before any value
+        if one_sided:  # every panel budgeted at its own rate, before any value
             rates = rates_of(i, ws)
-            for w, rate in zip(ws, rates):
-                if w not in rated:
-                    datum = bounds.NormData(endpoint_diff_rate=rate)
-                    rated[w] = bounds.certify(specs[w], certificate, datum, band)
-                    covers = rated[w].covers_perturbed_rule
             budgets.extend(bounds._one_sided(band, rates, ws, specs)[0])
         terms = _rule_terms(column, theta, n, los, his, ws, coefficients)
         values = _checked_sum(list, map(math.fsum, zip(*terms)), los[0], his[-1])
@@ -299,8 +304,8 @@ def composite_integrate(
     norm a certificate consumes can only shrink on a subinterval (sigma
     included: the panel-centred variance is at most the interval variance).
     A one-sided "band" (``bounds.reads_rate``) instead reads each panel's own
-    mean rate of f^(n), certifies each width at its first panel's rate and
-    budgets every panel with ``bounds._one_sided``.  Each width's spec,
+    mean rate of f^(n) and budgets every panel with ``bounds._one_sided``,
+    certify's formula, forming no certificate.  Each width's spec,
     certificate and rule coefficients are formed once.  With P panels f is
     read 3P times, f^(2i) P times, and f^(n-1) P + 1 times if the rate is.
     """

@@ -566,23 +566,35 @@ def test_n_98_certifies_and_the_plain_rule_value_keeps_its_range(capsys):
         assert record["results"]["bound"] >= 0.0
 
 
-def test_bad_oracle_tol_env(capsys, monkeypatch):
-    monkeypatch.setenv("THETAQUAD_ORACLE_TOL", "not-a-number")
-    code, _, err = run(
-        capsys, "integrate", "--f", "exp", "--n", "2", "--theta", "0",
-        "--a", "0", "--b", "1",
-    )
-    assert code == 2
-    assert "THETAQUAD_ORACLE_TOL" in err
+@pytest.mark.parametrize("value", ["1e-6", "not-a-number"])
+def test_the_environment_does_not_change_the_bytes(capsys, monkeypatch, value):
+    """Identical invocations give identical bytes: the oracle's tolerance is
+    fixed, and no environment variable reaches it."""
+    argv = ["integrate", "--f", "runge", "--n", "2", "--theta", "0", "--a", "-5", "--b", "5",
+            "--bound", "sharp"]
+    monkeypatch.delenv("THETAQUAD_ORACLE_TOL", raising=False)
+    unset = run(capsys, *argv)
+    monkeypatch.setenv("THETAQUAD_ORACLE_TOL", value)
+    assert run(capsys, *argv) == unset and unset[0] == 0
 
 
-def test_oracle_tol_env_is_honoured(capsys, monkeypatch):
-    monkeypatch.setenv("THETAQUAD_ORACLE_TOL", "1e-6")
-    record = run_json(
-        capsys, "integrate", "--f", "exp", "--n", "2", "--theta", "0",
-        "--a", "0", "--b", "1",
-    )
-    assert record["inputs"]["oracle_tol"] == 1e-6
+@pytest.mark.parametrize("kind, flag", [("l2", "--l2"), ("sharp", "--sigma")])
+def test_a_datum_floats_cannot_form_refuses_only_the_certificates_that_read_it(
+        capsys, kind, flag):
+    """The l2 of f' = 2e300 x overflows in floats, so norm_data leaves l2 and
+    sigma None: linf and l1 still certify, and l2 and sharp name the field
+    and the flag that supplies it."""
+    argv = ["bound", "--f", "poly:0,-0,1e300", "--n", "1", "--theta", "0.5", "--a", "0",
+            "--b", "1"]
+    for other in ("linf", "l1"):
+        record = run_json(capsys, *argv, "--bound", other)
+        assert math.isfinite(record["results"]["bound"]) and record["results"]["bound"] > 0.0
+    code, out, err = run(capsys, *argv, "--bound", kind)
+    field = flag[2:]
+    assert (code, out) == (2, "")
+    assert err == (f"thetaquad: certificate {kind!r} at n=1: the {field} of poly:0,-0,1e300 on "
+                   f"[0.0, 1.0] is not finite in floats; supply it with {flag}\n")
+    assert run_json(capsys, *argv, "--bound", kind, flag, "1.0")["results"]["bound"] > 0.0
 
 
 def test_convergence_failure_exits_3(capsys, monkeypatch):

@@ -644,7 +644,7 @@ def test_a_derivatives_fn_that_lists_the_wrong_number_of_values_is_refused(drop)
         true_error(wrong, s)
     with refused(0, 15):  # the oracle's first level
         reference_integral(wrong, a, b)
-    with refused(2, 1):  # one node at a time
+    with refused(2, 15):  # the oracle's first level, read in columns
         sigma_functional(wrong, 2, a, b)
     with refused(1, 1):
         wrong.eval_derivative(1, 0.5)
@@ -657,10 +657,11 @@ def test_a_derivatives_fn_that_lists_the_wrong_number_of_values_is_refused(drop)
 )
 def test_one_certificate_per_width_equals_the_per_panel_definition(monkeypatch, fn, a, b, panels):
     """Panel widths differ by ulps.  Each width is certified once, for every
-    kind (a one-sided band, at even n or from a half-infinite band at odd n,
-    included), and every output bit equals the definition: each panel
-    certified on its own, its value the fsum of apply_rule's terms plus the
-    perturbation where the certificate covers it."""
+    kind but a one-sided band (at even n or from a half-infinite band at odd
+    n), which certifies none and budgets each panel; and every output bit
+    equals the definition: each panel certified on its own, its value the
+    fsum of apply_rule's terms plus the perturbation where the certificate
+    covers it."""
     calls = Counter()
     original = bounds.certify
 
@@ -708,7 +709,7 @@ def test_one_certificate_per_width_equals_the_per_panel_definition(monkeypatch, 
                     CertificateKind.ONE_SIDED_ODD, CertificateKind.PERTURBED_EVEN
                 )
                 assert one_sided is (kind == "band" and (n % 2 == 0 or kind_band is not band))
-                assert calls["certify"] == widths, case
+                assert calls["certify"] == (0 if one_sided else widths), case
                 assert res.value == math.fsum(values), case
                 assert res.per_panel_bound == tuple(c.bound for c in certs), case
                 assert res.total_bound == math.fsum(c.bound for c in certs), case
@@ -757,6 +758,88 @@ def test_sigma_functional_evaluates_each_node_once():
     g_sq = Integrand(lambda _k, x: sine.derivative(2, x) ** 2, (0.0, 1.0), max_order=0)
     int_g, int_g2 = reference_integral(g, 0.0, 1.0), reference_integral(g_sq, 0.0, 1.0)
     assert value == max(int_g2 - int_g * int_g / 1.0, 0.0)
+
+
+def kink(k, x):  # |x - 0.3|: its oracle needs 512 panels at tol 1e-8, its square 2
+    return abs(x - 0.3)
+
+
+@pytest.mark.parametrize("f, order, a, b, tol", [
+    (Sine(20.0).integrand(0.0, 1.0), 2, 0.0, 1.0, 1e-12),  # g and g^2 stop at level 3
+    (Sine(20.0).integrand(0.0, 1.0), 2, 0.0, 1.0, 1e-6),  # g at level 2, g^2 at 3
+    (Runge().integrand(-5.0, 5.0), 1, -5.0, 5.0, 1e-12),  # g at level 2, g^2 at 5
+    (Runge().integrand(0.3, 0.3 + 2.0**-40), 3, 0.3, 0.3 + 2.0**-40, 1e-12),
+    (Exponential().integrand(-2.0**-45, 0.0), 2, -2.0**-45, 0.0, 1e-12),
+    (Integrand(kink, (0.0, 1.0)), 0, 0.0, 1.0, 1e-8),  # g at level 10, g^2 at 2
+    (Integrand(lambda k, x: math.sin(7.0 * x) * 3.0**k, (-1.0, 2.0)), 2, -1.0, 2.0, 1e-12),
+])
+def test_sigma_functional_equals_two_oracle_runs_bit_for_bit(f, order, a, b, tol):
+    """One run of the oracle's level loop for int g and int g^2, each
+    stopping on its own, equals the definition: two reference_integral runs
+    on integrands of g and of g^2."""
+    g = Integrand(lambda _k, x: f.derivative_fn(order, x), (a, b), max_order=0)
+    g_sq = Integrand(lambda _k, x: f.derivative_fn(order, x) ** 2, (a, b), max_order=0)
+    int_g, int_g2 = reference_integral(g, a, b, tol), reference_integral(g_sq, a, b, tol)
+    definition = max(int_g2 - int_g * int_g / (b - a), 0.0)
+    value = sigma_functional(f, order, a, b, oracle_tol=tol)
+    assert struct.pack("<d", value) == struct.pack("<d", definition)
+
+
+def test_sigma_functional_reads_one_column_per_block_of_each_level():
+    """Each level's nodes are read as one column per block of _BLOCK panels,
+    for g and g^2 together: 3 columns and 105 points for Sine(20) at order 2,
+    and a second column at the level of 2 * _BLOCK panels."""
+    sine, columns = Sine(20.0), []
+
+    def derivatives_fn(k, xs):
+        columns.append((k, len(xs)))
+        return sine.derivatives(k, xs)
+
+    sigma_functional(Integrand(sine.derivative, (0.0, 1.0), derivatives_fn=derivatives_fn),
+                     2, 0.0, 1.0)
+    assert columns == [(2, 15), (2, 30), (2, 60)]
+    columns.clear()
+    sigma_functional(Integrand(kink, (0.0, 1.0), derivatives_fn=lambda k, xs: (
+        columns.append((k, len(xs))) or [kink(k, x) for x in xs])), 0, 0.0, 1.0, 1e-8)
+    assert columns == [(0, 15 * 2**i) for i in range(9)] + [(0, 15 * _BLOCK)] * 2
+
+
+def test_a_square_that_overflows_in_sigma_functional_names_the_interval():
+    f = Integrand(lambda k, x: 1e200, (0.0, 1.0))
+    with pytest.raises(OverflowError, match=r"^a sum on \[0\.0, 1\.0\] overflows: "):
+        sigma_functional(f, 0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("n, band", [(2, DerivativeBand(1.0, math.inf, 3)),
+                                     (2, DerivativeBand(-math.inf, 1.0, 3)),
+                                     (3, DerivativeBand(1.0, math.inf, 2))])
+def test_a_one_sided_band_of_another_order_is_refused_before_any_read(n, band):
+    reads = []
+    f = Integrand(lambda k, x: reads.append(x) or math.exp(x), (0.0, 1.0))
+    message = rf"^band is for derivative order {band.order}, rule expects {n}$"
+    for panels in (1, 300):
+        with pytest.raises(ValidationError, match=message):
+            composite_integrate(f, spec(0.5, n), panels, "band", band=band)
+    assert reads == []
+
+
+def test_a_one_sided_composite_forms_no_certificate(monkeypatch):
+    """Every panel of a one-sided band is budgeted by bounds._one_sided;
+    certify is never called, and the value folds in the perturbation
+    exactly at even n."""
+    calls = []
+    original = bounds.certify
+    monkeypatch.setattr(bounds, "certify", lambda *args: calls.append(args) or original(*args))
+    fn, a, b = Exponential(), 0.0, 1.0
+    for n, band in [(2, fn.band(2, a, b)), (3, DerivativeBand(1.0, math.inf, 3)),
+                    (4, DerivativeBand(-math.inf, math.e, 4))]:
+        res = composite_integrate(fn.integrand(a, b), spec(0.5, n), 300, "band", band=band)
+        assert res.covers_perturbed_rule is (n % 2 == 0) and len(res.per_panel_bound) == 300
+        assert abs((math.e - 1.0) - res.value) <= res.total_bound
+    assert calls == []
+    edges = thetaquad.integrate._panel_edges(a, b, 300)  # BandOdd: one certificate per width
+    composite_integrate(fn.integrand(a, b), spec(0.5, 3), 300, "band", band=fn.band(3, a, b))
+    assert len(calls) == len({hi - lo for lo, hi in zip(edges, edges[1:])})
 
 
 @pytest.mark.parametrize(
