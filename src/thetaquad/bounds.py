@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ValidationError, check_int
 from .kernel import RuleSpec
@@ -69,8 +69,6 @@ class NormData:
     endpoint_diff_rate: float | None = None
     sigma: float | None = None
     provenance: str = "user-supplied"
-    # this NormData cut down to one field, per field a certificate reads (_datum)
-    _cut: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.provenance not in PROVENANCES:
@@ -209,15 +207,12 @@ def _band_reads_rate(band: DerivativeBand | None, n: int) -> bool:
 
 def _datum(spec: RuleSpec, kind: str, norms: NormData | None) -> tuple[float, NormData]:
     """The NormData field certificate ``kind`` reads, and ``norms`` cut down
-    to it, formed once per field of each NormData."""
+    to it; certify runs once per panel width, so this is formed per call."""
     field = CERTIFICATES[kind]
     value = None if norms is None else getattr(norms, field)
     if value is None:
         raise ValidationError(f"certificate {kind!r} at n={spec.n} needs NormData.{field}")
-    datum = norms._cut.get(field)
-    if datum is None:
-        datum = norms._cut[field] = NormData(**{field: value}, provenance=norms.provenance)
-    return value, datum
+    return value, NormData(**{field: value}, provenance=norms.provenance)
 
 
 def certify(
@@ -271,11 +266,12 @@ def _one_sided(band: DerivativeBand, rates, widths, specs) -> tuple[list[float],
     """Budgets and sides (True: the lower edge) of certify's one-sided band
     bound, one per rate and width, specs[w] being the spec of width w; the
     panel loop forms a block of panels' budgets here.  Each rate and side is
-    checked before the stats of its spec, and each budget as
-    ErrorCertificate checks it."""
+    checked before the stats of its spec, whose sup is read from the stats
+    the spec keeps, and each budget as ErrorCertificate checks it."""
     gamma, Gamma = band.gamma, band.Gamma
     has_lower, has_upper = math.isfinite(gamma), math.isfinite(Gamma)
-    sups, budgets, lowers = {}, [], []
+    sup_name = "centered_max_abs" if band.order % 2 == 0 else "max_abs"  # band.order is n
+    budgets, lowers = [], []
     for rate, w in zip(rates, widths):
         _check_rate(rate)
         lower = has_lower and rate >= gamma
@@ -285,10 +281,7 @@ def _one_sided(band: DerivativeBand, rates, widths, specs) -> tuple[list[float],
                 f"no valid side for the band certificate: no finite band edge bounds the "
                 f"rate {rate!r}"
             )
-        sup = sups.get(w)
-        if sup is None:
-            spec = specs[w]
-            sup = sups[w] = spec.stats.centered_max_abs if spec.n % 2 == 0 else spec.stats.max_abs
+        sup = getattr(specs[w].stats, sup_name)
         low = abs(rate - gamma) * w * sup if lower else math.inf
         high = abs(rate - Gamma) * w * sup if upper else math.inf
         bound = min(low, high)  # the lower side on a tie

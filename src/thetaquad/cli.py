@@ -378,7 +378,8 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
         spec = RuleSpec(theta=theta, n=args.n, a=args.a, b=args.b)
         result = apply_rule(integrand, spec)
         row: list[object] = [theta, result.f_n_value, abs(reference - result.f_n_value)]
-        row += [certify(spec, kind, norms, band).bound for kind in CERTIFICATES]
+        row += ["" if getattr(norms, field) is None else certify(spec, kind, norms, band).bound
+                for kind, field in CERTIFICATES.items()]  # empty where floats cannot form it
         if even:
             perturbation = result.perturbation_term or 0.0
             row.append(perturbation)

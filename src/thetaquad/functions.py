@@ -22,15 +22,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 from .bounds import DerivativeBand, NormData
 from .errors import ValidationError, check_int, check_interval
+from .kernel import _Memo
 from .poly import (
     _chain_roots, _derivative_chain, _horner, _integral_on, _poly_mul, _taylor_shift,
 )
-from .rules import Integrand, _Memo, _mean_rate
+from .rules import Integrand, _mean_rate
 
 __all__ = [
     "AnalyticFunction",
@@ -71,10 +72,7 @@ class AnalyticFunction:
         return _Memo(self._formula)
 
     def derivative(self, order: int, x: float) -> float:
-        try:
-            return self._formulas[order]([x])[0]
-        except OverflowError:
-            return self.derivatives(order, [x])[0]  # raises it again, named
+        return self.derivatives(order, [x])[0]
 
     def derivatives(self, order: int, xs: list) -> list:
         try:
@@ -90,9 +88,10 @@ class AnalyticFunction:
     def _l2_sq(self, order: int, a: float, b: float) -> float:
         raise NotImplementedError
 
-    def _primitive(self, order: int, a: float):
-        """f^(order-1) up to a constant on [a, ...]; l1 sums its differences."""
-        return lambda x: self.derivative(order - 1, x)
+    def _primitive(self, order: int, a: float) -> Callable[[list], list]:
+        """f^(order-1) up to a constant on [a, ...], in column form; l1 sums
+        its differences."""
+        return partial(self.derivatives, order - 1)
 
     # -- generic assembly --------------------------------------------------
 
@@ -115,18 +114,16 @@ class AnalyticFunction:
         return _mean_rate(self.derivatives, order, a, b)
 
     def norm_data(self, order: int, a: float, b: float) -> NormData:
-        """The exact norms of f^(order) on [a, b]; l2 and sigma None where not finite."""
+        """The exact norms of f^(order) on [a, b]; l2 and sigma None where not
+        finite.  l1 reads one ``_primitive`` column, at a, b and the zeros."""
         check_int("derivative order", order, 1)
         a, b = check_interval(a, b)
         stationary, zeros = self._critical_points(order, a, b)
         band = self._band(order, a, b, stationary)
         linf = max(abs(band.gamma), abs(band.Gamma))
 
-        cuts = sorted({a, b, *zeros})
-        primitive = self._primitive(order, a)
-        l1 = math.fsum(
-            abs(primitive(right) - primitive(left)) for left, right in zip(cuts, cuts[1:])
-        )
+        at_cuts = self._primitive(order, a)(sorted({a, b, *zeros}))
+        l1 = math.fsum(abs(right - left) for left, right in zip(at_cuts, at_cuts[1:]))
         l2_sq = self._l2_sq(order, a, b)
         rate = self.endpoint_diff_rate(order, a, b)
         sigma = l2_sq - rate * rate * (b - a)
@@ -148,12 +145,6 @@ class Exponential(AnalyticFunction):
     def _formula(self, order: int) -> Callable[[list], list]:
         exp = math.exp
         return lambda xs: list(map(exp, xs))
-
-    def derivative(self, order: int, x: float) -> float:
-        try:
-            return math.exp(x)  # _formula(order)([x])[0], without the column
-        except OverflowError:
-            return self.derivatives(order, [x])[0]
 
     def _critical_points(self, order: int, a: float, b: float) -> tuple[list, list]:
         return [], []
@@ -213,13 +204,9 @@ class Runge(AnalyticFunction):
 
     name = "runge"
 
-    @staticmethod
-    def _t(x: float) -> float:
-        return math.atan2(1.0, x)
-
     def _formula(self, order: int) -> Callable[[list], list]:
         scale, m = (-1.0) ** order * math.factorial(order), order + 1
-        sin, atan2 = math.sin, math.atan2  # t = atan2(1.0, x) as _t forms it
+        sin, atan2 = math.sin, math.atan2  # t = arccot(x) = atan2(1.0, x)
         return lambda xs: [scale * sin(t) ** m * sin(m * t) for x in xs for t in [atan2(1.0, x)]]
 
     @staticmethod
@@ -248,7 +235,7 @@ class Runge(AnalyticFunction):
         poly_b[2 * k + 2] = 1
         conv = _poly_mul(poly_a, poly_b)
         center = 2 * k + 1
-        t_hi, t_lo = self._t(a), self._t(b)  # t decreases in x
+        t_hi, t_lo = math.atan2(1.0, a), math.atan2(1.0, b)  # t decreases in x
         total = conv[center] * (t_hi - t_lo)
         for d in range(1, center + 1):
             coeff = conv[center + d]
@@ -314,7 +301,7 @@ class PolynomialFunction(AnalyticFunction):
         # differences do not cancel between two large values far from 0.
         shifted = _taylor_shift(self._coeffs_of_order(order - 1), a)
         shifted[0] = 0.0
-        return lambda x: _horner(shifted, x - a)
+        return lambda xs: [_horner(shifted, x - a) for x in xs]
 
 
 BUILTIN_NAMES = ("exp", "sin", "runge", "poly:c0,c1,...")

@@ -197,11 +197,12 @@ def _rule_panels(
     of f^(n)) into the value; with a ``certificate`` the value includes it
     exactly when the certificate covers it.  One pass walks the panels in
     blocks of _BLOCK, reading each column of ``rules._rule_terms`` once per
-    block through ``Integrand._read``; f^(n-1) at a block's last edge is kept
-    for the next.  Certificate inputs are checked before the first read; a
-    one-sided band's budgets come from ``bounds._one_sided`` alone, a block's
-    before its values.  Every panel is read before the values are summed,
-    once; a sum that overflows, or a non-finite value, raises OverflowError.
+    block through ``Integrand._read``, the rates first where a one-sided
+    band or the perturbation reads them (f^(n-1) once per edge, a block's
+    last kept for the next).  Certificate inputs are checked before the
+    first read; a one-sided band's budgets come from ``bounds._one_sided``
+    alone.  Every panel is read before the values are summed, once; a sum
+    that overflows, or a non-finite value, raises OverflowError.
     """
     check_int("panels", panels, 1)
     theta, n = spec.theta, spec.n
@@ -225,25 +226,20 @@ def _rule_panels(
         perturbed or one_sided and n % 2 == 0)  # PerturbedEven covers it, OneSidedOdd not
     ends = []  # f^(n-1) at the last edge read
 
-    def rates_of(i: int, ws: list) -> list[float]:  # f^(n-1) once per edge
-        ends.extend(column(n - 1, edges[i + len(ends):i + len(ws) + 1]))
-        rates = list(map(truediv, map(sub, islice(ends, 1, None), ends), ws))
-        del ends[:-1]
-        return rates
-
     def block(i: int):  # the values of the panels from edges[i] on
         his = edges[i + 1:i + _BLOCK + 1]
         los = edges[i:i + len(his)]
         ws = list(map(sub, his, los))
-        if one_sided:  # every panel budgeted at its own rate, before any value
-            rates = rates_of(i, ws)
+        if one_sided or covers:  # the rates, f^(n-1) once per edge, before any value
+            ends.extend(column(n - 1, edges[i + len(ends):i + len(ws) + 1]))
+            rates = list(map(truediv, map(sub, islice(ends, 1, None), ends), ws))
+            del ends[:-1]
+        if one_sided:  # every panel budgeted at its own rate
             budgets.extend(bounds._one_sided(band, rates, ws, specs)[0])
         terms = _rule_terms(column, theta, n, los, his, ws, coefficients)
         values = _checked_sum(list, map(math.fsum, zip(*terms)), los[0], his[-1])
         if not covers:
             return values
-        if not one_sided:  # the rates the values fold in, read after them
-            rates = rates_of(i, ws)
         integrals = map(_INTEGRAL, map(specs.__getitem__, ws))
         return list(map(add, values, map(mul, integrals, rates)))
 

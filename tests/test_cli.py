@@ -597,6 +597,23 @@ def test_a_datum_floats_cannot_form_refuses_only_the_certificates_that_read_it(
     assert run_json(capsys, *argv, "--bound", kind, flag, "1.0")["results"]["bound"] > 0.0
 
 
+def test_a_sweep_leaves_empty_only_the_cells_of_a_datum_floats_cannot_form(capsys):
+    """sweep has no flag to supply the l2 or sigma that floats cannot form, so
+    their cells are empty; every other bound is the one bound prints."""
+    interval = ["--f", "poly:0,-0,1e300", "--n", "1", "--a", "0", "--b", "1"]
+    code, out, err = run(capsys, "sweep", *interval, "--theta-grid", "0:0.5:1")
+    assert (code, err) == (0, "")
+    header, *rows = list(csv.reader(io.StringIO(out)))
+    assert len(rows) == 3
+    for row in rows:
+        cells = dict(zip(header, row))
+        assert cells["bound_l2"] == cells["bound_sharp"] == ""
+        for kind in ("l1", "linf", "band"):
+            record = run_json(capsys, "bound", *interval, "--theta", cells["theta"],
+                              "--bound", kind)
+            assert float(cells[f"bound_{kind}"]) == record["results"]["bound"]
+
+
 def test_convergence_failure_exits_3(capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise ConvergenceError("reference integral did not stabilize")

@@ -18,7 +18,7 @@ from thetaquad import (
     parse_function,
 )
 from thetaquad import functions
-from thetaquad.poly import _derivative_coeffs, _horner, real_roots
+from thetaquad.poly import _derivative_coeffs, _horner, _taylor_shift, real_roots
 
 INTERVALS = [(0.0, 1.0), (-1.0, 2.0)]
 
@@ -422,11 +422,38 @@ def _bits(x):
     return struct.pack("<d", x)
 
 
+def _point_norm_data(fn, order, a, b):
+    """norm_data's fields (l1, l2, linf, rate, sigma) as formed point by point,
+    f^(order-1) read twice at each interior cut: the reference of its column."""
+    at, before = _point_formula(fn, order), _point_formula(fn, order - 1)
+    primitive = before
+    if isinstance(fn, PolynomialFunction):
+        shifted = _taylor_shift(fn._coeffs_of_order(order - 1), a)
+        shifted[0] = 0.0
+        primitive = lambda x: _horner(shifted, x - a)  # noqa: E731
+    stationary, zeros = fn._critical_points(order, a, b)
+    linf = max(abs(at(x)) for x in [a, b, *stationary])
+    cuts = sorted({a, b, *zeros})
+    l1 = math.fsum(abs(primitive(right) - primitive(left)) for left, right in zip(cuts, cuts[1:]))
+    l2_sq = fn._l2_sq(order, a, b)
+    rate = (before(b) - before(a)) / (b - a)
+    sigma = l2_sq - rate * rate * (b - a)
+    return l1, math.sqrt(max(l2_sq, 0.0)), linf, rate, max(sigma, 0.0)
+
+
 @pytest.mark.parametrize("fn", COLUMN_CASES, ids=lambda fn: fn.name)
 def test_column_formulas_keep_the_bits_of_the_point_formulas(fn):
     """derivatives(k, xs) over a whole column, and derivative(k, x) as a
     column of one, give each point formula's bits, signed zeros included;
-    where the point formula overflows, both raise OverflowError."""
+    where the point formula overflows, both raise OverflowError.  Every
+    field of norm_data, whose l1 reads f^(order-1) at its cuts as one
+    column, keeps the bits of the point-by-point form."""
+    for order in range(1, 9):
+        for a, b in [*INTERVALS, (-12.0, 12.0)]:
+            nd = fn.norm_data(order, a, b)
+            fields = (nd.l1, nd.l2, nd.linf, nd.endpoint_diff_rate, nd.sigma)
+            expected = _point_norm_data(fn, order, a, b)
+            assert list(map(_bits, fields)) == list(map(_bits, expected)), (order, a, b)
     for order in range(9):
         point = _point_formula(fn, order)
         expected = []
@@ -462,6 +489,30 @@ def test_an_overflowing_formula_is_named(fn, order, xs, message):
     if len(xs) == 1:
         with pytest.raises(OverflowError, match=f"^{message}$"):
             fn.derivative(order, xs[0])
+
+
+def test_no_builtin_keeps_a_point_path_of_its_own():
+    """derivative(k, x) is the column formula read at one point, for every builtin."""
+    builtins = functions.AnalyticFunction.__subclasses__()
+    assert {cls.__name__ for cls in builtins} == {"Exponential", "Sine", "Runge",
+                                                  "PolynomialFunction"}
+    assert [cls.__name__ for cls in builtins if "derivative" in vars(cls)] == []
+
+
+@pytest.mark.parametrize("fn", [Exponential(), Sine(3.0), Runge()], ids=lambda fn: fn.name)
+def test_norm_data_reads_the_primitive_at_its_cuts_in_one_column(fn, monkeypatch):
+    """l1 reads f^(order-1) at a, b and the zeros of f^(order) in one
+    derivatives call, each cut once; the rate reads it at b and a."""
+    calls = []
+    read = functions.AnalyticFunction.derivatives
+    monkeypatch.setattr(functions.AnalyticFunction, "derivatives",
+                        lambda self, k, xs: calls.append((k, list(xs))) or read(self, k, xs))
+    for order in (1, 2, 3):
+        for a, b in [*INTERVALS, (-4.0, 5.0)]:
+            cuts = sorted({a, b, *fn._critical_points(order, a, b)[1]})
+            calls.clear()
+            fn.norm_data(order, a, b)
+            assert [xs for k, xs in calls if k == order - 1] == [cuts, [b, a]], (order, a, b)
 
 
 def test_a_band_that_overflows_names_its_interval():

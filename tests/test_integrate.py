@@ -855,10 +855,10 @@ def test_a_one_sided_composite_forms_no_certificate(monkeypatch):
 )
 def test_non_finite_panel_rate_is_refused(n, band, left, right, message):
     """f^(n-1) jumps from ``left`` to ``right`` inside the third of four equal
-    panels, whose width was already certified at the first panel's finite
-    rate and budget.  Where the jump overflows the rate, or the finite rate
+    panels; each panel is budgeted at its own rate, and the first two at
+    finite ones.  Where the jump overflows the rate, or the finite rate
     8e307 overflows |rate - edge| against the edge -1e308, the one-sided band
-    refuses that panel with the per-panel certificate's message."""
+    refuses that panel with certify's one-sided message."""
 
     def derivative_fn(order, x):
         return (right if x > 0.6 else left) if order == n - 1 else 0.0
