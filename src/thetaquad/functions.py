@@ -93,6 +93,12 @@ class AnalyticFunction:
         its differences."""
         return partial(self.derivatives, order - 1)
 
+    def _rate(self, order: int, a: float, b: float, at_cuts: list) -> float:
+        """The mean rate of f^(order) on [a, b] from the ``_primitive`` column
+        at a, the zeros and b: where that column is f^(order-1) itself, its
+        ends give ``_mean_rate``'s operation on the same values."""
+        return (at_cuts[-1] - at_cuts[0]) / (b - a)
+
     # -- generic assembly --------------------------------------------------
 
     def integrand(self, a: float, b: float) -> Integrand:
@@ -115,7 +121,8 @@ class AnalyticFunction:
 
     def norm_data(self, order: int, a: float, b: float) -> NormData:
         """The exact norms of f^(order) on [a, b]; l2 and sigma None where not
-        finite.  l1 reads one ``_primitive`` column, at a, b and the zeros."""
+        finite.  l1 reads one ``_primitive`` column, at a, b and the zeros,
+        and the mean rate comes from its ends (``_rate``)."""
         check_int("derivative order", order, 1)
         a, b = check_interval(a, b)
         stationary, zeros = self._critical_points(order, a, b)
@@ -125,7 +132,7 @@ class AnalyticFunction:
         at_cuts = self._primitive(order, a)(sorted({a, b, *zeros}))
         l1 = math.fsum(abs(right - left) for left, right in zip(at_cuts, at_cuts[1:]))
         l2_sq = self._l2_sq(order, a, b)
-        rate = self.endpoint_diff_rate(order, a, b)
+        rate = self._rate(order, a, b, at_cuts)
         sigma = l2_sq - rate * rate * (b - a)
         return NormData(
             l1=l1,
@@ -302,6 +309,10 @@ class PolynomialFunction(AnalyticFunction):
         shifted = _taylor_shift(self._coeffs_of_order(order - 1), a)
         shifted[0] = 0.0
         return lambda xs: [_horner(shifted, x - a) for x in xs]
+
+    def _rate(self, order: int, a: float, b: float, at_cuts: list) -> float:
+        # the shifted column's ends differ from f^(order-1)'s, so the rate reads its own
+        return self.endpoint_diff_rate(order, a, b)
 
 
 BUILTIN_NAMES = ("exp", "sin", "runge", "poly:c0,c1,...")

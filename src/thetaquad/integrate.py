@@ -69,8 +69,8 @@ _GL_WEIGHTS = tuple(reversed(_GL_HALF_WEIGHTS[1:])) + _GL_HALF_WEIGHTS
 
 def _gl_nodes(edges: list) -> list[float]:
     """The 15 nodes of each panel between consecutive ``edges``, in order."""
-    pairs = list(zip(edges, islice(edges, 1, None)))
-    return [0.5 * (hi + lo) + 0.5 * (hi - lo) * x for lo, hi in pairs for x in _GL_NODES]
+    halves = [(0.5 * (hi + lo), 0.5 * (hi - lo)) for lo, hi in zip(edges, islice(edges, 1, None))]
+    return [mid + half * x for mid, half in halves for x in _GL_NODES]
 
 
 def _gl_panels(values: list, edges: list) -> list[float]:
@@ -203,6 +203,13 @@ def _rule_panels(
     first read; a one-sided band's budgets come from ``bounds._one_sided``
     alone.  Every panel is read before the values are summed, once; a sum
     that overflows, or a non-finite value, raises OverflowError.
+
+    A call of one block keeps its read with ``f``, one entry stored on
+    success: each panel's unperturbed value and, once read, its rate.  A
+    later call for the same ``spec`` object (an equal spec may differ in the
+    sign of a zero end) and panel count reads only what the entry lacks, so
+    a second certificate reads only the rates it needs.  This assumes
+    ``derivative_fn`` is a function of its arguments.
     """
     check_int("panels", panels, 1)
     theta, n = spec.theta, spec.n
@@ -226,25 +233,35 @@ def _rule_panels(
         perturbed or one_sided and n % 2 == 0)  # PerturbedEven covers it, OneSidedOdd not
     ends = []  # f^(n-1) at the last edge read
 
-    def block(i: int):  # the values of the panels from edges[i] on
+    def block(i: int, values=None, rates=None):
+        """The panels from edges[i] on: their values and rates as read (None
+        where not read), and the values the rule sums.  Only what is None is read."""
         his = edges[i + 1:i + _BLOCK + 1]
         los = edges[i:i + len(his)]
         ws = list(map(sub, his, los))
-        if one_sided or covers:  # the rates, f^(n-1) once per edge, before any value
+        if (one_sided or covers) and rates is None:  # f^(n-1) once per edge, before any value
             ends.extend(column(n - 1, edges[i + len(ends):i + len(ws) + 1]))
             rates = list(map(truediv, map(sub, islice(ends, 1, None), ends), ws))
             del ends[:-1]
         if one_sided:  # every panel budgeted at its own rate
             budgets.extend(bounds._one_sided(band, rates, ws, specs)[0])
-        terms = _rule_terms(column, theta, n, los, his, ws, coefficients)
-        values = _checked_sum(list, map(math.fsum, zip(*terms)), los[0], his[-1])
+        if values is None:
+            terms = _rule_terms(column, theta, n, los, his, ws, coefficients)
+            values = _checked_sum(list, map(math.fsum, zip(*terms)), los[0], his[-1])
         if not covers:
-            return values
+            return values, rates, values
         integrals = map(_INTEGRAL, map(specs.__getitem__, ws))
-        return list(map(add, values, map(mul, integrals, rates)))
+        return values, rates, list(map(add, values, map(mul, integrals, rates)))
 
-    blocks = list(map(block, range(0, panels, _BLOCK)))
-    return _rule_value(chain.from_iterable(blocks), spec.a, spec.b), budgets, covers
+    if panels > _BLOCK:
+        blocks = [block(i)[2] for i in range(0, panels, _BLOCK)]
+        return _rule_value(chain.from_iterable(blocks), spec.a, spec.b), budgets, covers
+    kept = f.__dict__.get("_kept_rule", (None,))  # read for this spec object and panel count
+    served = kept[0] is spec and kept[1] == panels
+    values, rates, summed = block(0, *kept[2:]) if served else block(0)
+    value = _rule_value(summed, spec.a, spec.b)
+    f.__dict__["_kept_rule"] = (spec, panels, values, rates)
+    return value, budgets, covers
 
 
 def true_error(
@@ -304,6 +321,8 @@ def composite_integrate(
     certify's formula, forming no certificate.  Each width's spec,
     certificate and rule coefficients are formed once.  With P panels f is
     read 3P times, f^(2i) P times, and f^(n-1) P + 1 times if the rate is.
+    At P <= 256 a second certificate on the same ``spec`` and P reads only
+    the rates it needs (``_rule_panels``).
     """
     if certificate is None:  # the panel loop reads None as "no certificate"
         raise ValidationError("composite_integrate needs a certificate kind")

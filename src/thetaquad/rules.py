@@ -74,7 +74,9 @@ class Integrand:
     checks of the column it is raised in.
     ``derivative_fn`` is assumed to be a function of (k, x):
     ``integrate.reference_integral`` keeps its last result with the
-    instance, which is neither shown nor compared.
+    instance, and the panel loop its last one-block read, so a second
+    certificate on the same spec and panel count reads only the rates it
+    needs.  Neither is shown or compared.
     """
 
     derivative_fn: Callable[[int, float], float]

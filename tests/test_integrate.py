@@ -612,6 +612,129 @@ def test_calls_that_share_a_spec_and_a_panel_count_share_the_panel_specs(monkeyp
     assert calls == Counter(dict.fromkeys(widths, 1))
 
 
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("panels", [1, 7, _BLOCK, _BLOCK + 1])
+def test_five_certificates_on_one_integrand_read_f_once(n, panels):
+    """The last one-block rule read is kept with the integrand: the five
+    certificates read f at 3P points and each f^(2i) at P once, and f^(n-1)
+    at the P + 1 edges once where a covering certificate reads the rate.
+    Above one block nothing is kept, and every certificate reads f again."""
+    fn, a, b = Sine(1.3), -0.4, 1.9
+    norms, band = fn.norm_data(n, a, b), fn.band(n, a, b)
+    f, calls = counted(fn, a, b)
+    s = spec(0.3, n, a, b)
+    for kind in CERTIFICATES:
+        composite_integrate(f, s, panels, kind, norms=norms, band=band)
+    expected = {0: 3 * panels, 2: panels} if n == 3 else {0: 3 * panels, 2: panels, 3: panels + 1}
+    if panels > _BLOCK:
+        expected = {0: 15 * panels, 2: 5 * panels, 3: 2 * (panels + 1)} if n == 4 else {
+            0: 15 * panels, 2: 5 * panels}
+    assert calls == expected
+
+
+@pytest.mark.parametrize("panels", [1, _BLOCK, _BLOCK + 1])
+def test_a_kept_rule_read_gives_the_bits_of_a_fresh_one(panels):
+    """Every kind, both half-infinite bands, the uncertified and the
+    perturbed loop, run on one integrand in both orders (so a kept read is
+    served with and without its rates): value, budgets and coverage are
+    those of a fresh integrand, bit for bit, and so are composite_integrate's
+    value and total_bound."""
+    fn, a, b = Runge(), -1.7, 2.3
+    for n in (3, 4):
+        norms, band = fn.norm_data(n, a, b), fn.band(n, a, b)
+        cases = [(kind, band) for kind in CERTIFICATES]
+        cases += [("band", DerivativeBand(band.gamma, math.inf, n)),
+                  ("band", DerivativeBand(-math.inf, band.Gamma, n)), (None, None)]
+        if n % 2 == 0:
+            cases.append(("perturbed", None))
+        s = spec(0.3, n, a, b)
+
+        def run(f, kind, kind_band):
+            if kind == "perturbed":
+                return repr(_rule_panels(f, s, panels, True))
+            loop = repr(_rule_panels(f, s, panels, False, kind, norms, kind_band))
+            if kind is None:
+                return loop
+            result = composite_integrate(f, s, panels, kind, norms=norms, band=kind_band)
+            return loop, repr((result.value, result.total_bound))
+
+        fresh = [run(fn.integrand(a, b), *case) for case in cases]
+        for order in (cases, cases[::-1]):
+            f = fn.integrand(a, b)
+            kept = {case: run(f, *case) for case in order}
+            assert [kept[case] for case in cases] == fresh, (n, panels)
+
+
+def test_a_rule_read_that_raises_keeps_nothing():
+    """A call that raises, in f's own read, a rate's read or the rule
+    value's sum, stores nothing: a repeat reads f as far again and raises
+    again, and the read kept before it is still served."""
+    reads = Counter()
+
+    def derivative_fn(order, x):
+        reads[order] += 1
+        if order == 2 or order == 3 and x > 0.5:
+            raise KeyError(order)
+        return math.exp(x)
+
+    f = Integrand(derivative_fn, (0.0, 1.0))
+    plain, raising = spec(0.5, 2), spec(0.5, 3)
+    composite_integrate(f, plain, 4, "linf", norms=NormData(linf=1.0))
+    assert reads == {0: 12}
+    for times in (1, 2):
+        with pytest.raises(KeyError):
+            composite_integrate(f, raising, 4, "linf", norms=NormData(linf=1.0))
+        assert reads == {0: 12 + 12 * times, 2: times}  # f^(2) raises at its first point
+    reads.clear()
+    composite_integrate(f, plain, 4, "linf", norms=NormData(linf=1.0))  # served
+    assert reads == {}
+    perturbed = spec(0.5, 4)
+    for times in (1, 2):
+        with pytest.raises(KeyError):
+            _rule_panels(f, perturbed, 4, True)
+        assert reads == {3: 4 * times}  # at the edge 0.75, before any value
+    huge = Integrand(lambda k, x: 9e307, (0.0, 1.0))
+    for _ in range(2):
+        with pytest.raises(OverflowError, match=r"^the rule value on \[0\.0, 1\.0\] is inf"):
+            composite_integrate(huge, plain, 3, "linf", norms=NormData(linf=1.0))
+        assert "_kept_rule" not in huge.__dict__
+
+
+def test_a_kept_rule_read_serves_only_its_spec_panel_count_and_integrand():
+    """One entry, for the spec object, the panel count and the integrand it
+    was read for.  An equal spec is not served either: [-1, 0.0] and
+    [-1, -0.0] compare equal, yet the rule reads f at 0.0 and -0.0."""
+    fn, a, b = Exponential(), 0.0, 1.0
+    f, calls = counted(fn, a, b)
+    s, norms = spec(0.5, 2), NormData(linf=1.0)
+    first = composite_integrate(f, s, 7, "linf", norms=norms)
+    assert calls == {0: 21}
+    for other_spec, panels in [(s, 8), (spec(0.5, 2), 7), (spec(0.25, 2), 7), (s, 7)]:
+        calls.clear()
+        composite_integrate(f, other_spec, panels, "linf", norms=norms)
+        assert calls == {0: 3 * panels}, (other_spec, panels)
+    calls.clear()
+    assert composite_integrate(f, s, 7, "linf", norms=norms) == first
+    assert calls == {}
+    g, other_calls = counted(fn, a, b)
+    assert composite_integrate(g, s, 7, "linf", norms=norms) == first
+    assert other_calls == {0: 21}
+
+    sign = Integrand(lambda k, x: math.copysign(1.0, x), (-1.0, 0.0))
+    positive, negative = spec(1.0, 1, -1.0, 0.0), spec(1.0, 1, -1.0, -0.0)
+    assert positive == negative
+    assert _rule_panels(sign, positive, 1)[0] == 0.0  # (-1 + 1) / 2
+    assert _rule_panels(sign, negative, 1)[0] == -1.0  # (-1 - 1) / 2
+
+
+def test_a_kept_rule_read_leaves_equality_and_repr_alone():
+    fn = Sine(1.3)
+    f, g = fn.integrand(-0.4, 1.9), fn.integrand(-0.4, 1.9)
+    composite_integrate(f, spec(0.3, 3, -0.4, 1.9), 5, "linf", norms=fn.norm_data(3, -0.4, 1.9))
+    assert "_kept_rule" in f.__dict__
+    assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
+
+
 @pytest.mark.parametrize("drop", [0, -1])
 def test_a_derivatives_fn_that_lists_the_wrong_number_of_values_is_refused(drop):
     """A derivatives_fn that drops a value would pair the rest with the wrong
