@@ -189,20 +189,16 @@ def reads_rate(kind: str | None, n: int, band: DerivativeBand | None) -> bool:
 
     Only "band" does, unless n is odd and both edges of ``band`` are finite:
     that case is the two-sided BandOdd bound, which reads the band alone.
+    For "band", a missing ``band`` or one of another order than ``n`` raises
+    ValidationError; certify and the panel loop ask this before any read.
     """
-    if kind != "band" or band is None:
+    if kind != "band":
         return False
-    return n % 2 == 0 or not (math.isfinite(band.gamma) and math.isfinite(band.Gamma))
-
-
-def _band_reads_rate(band: DerivativeBand | None, n: int) -> bool:
-    """reads_rate("band", n, band) once ``band`` passes certify's checks,
-    which the panel loop makes before it reads f."""
     if band is None:
         raise ValidationError("certificate 'band' needs a DerivativeBand")
     if band.order != n:
         raise ValidationError(f"band is for derivative order {band.order}, rule expects {n}")
-    return reads_rate("band", n, band)
+    return n % 2 == 0 or not (math.isfinite(band.gamma) and math.isfinite(band.Gamma))
 
 
 def _datum(spec: RuleSpec, kind: str, norms: NormData | None) -> tuple[float, NormData]:
@@ -252,7 +248,7 @@ def certify(
             bound = math.sqrt(spec.stats.centered_l2_sq) * math.sqrt(d)
         covers = theorem is CertificateKind.SHARP_EVEN
         return _certificate(theorem, spec, bound, datum, covers_perturbed_rule=covers)
-    if not _band_reads_rate(band, spec.n):
+    if not reads_rate(kind, spec.n, band):
         bound = 0.5 * (band.Gamma - band.gamma) * spec.stats.abs_integral
         return _certificate(CertificateKind.BAND_ODD, spec, bound, band=band)
     rate, datum = _datum(spec, kind, norms)

@@ -257,6 +257,8 @@ def _cmd_integrate(args: argparse.Namespace) -> None:
     from .functions import parse_function
     from .integrate import DEFAULT_ORACLE_TOL, _rule_panels, composite_integrate, reference_integral
 
+    if args.panels > 2**20:  # checked before the panel edges are listed; the API has no cap
+        raise ValidationError(f"--panels is at most 2**20 = 1048576, got {args.panels}")
     fn = parse_function(args.f)
     spec = _rule_spec(args)
     integrand = fn.integrand(args.a, args.b)

@@ -121,8 +121,9 @@ class AnalyticFunction:
 
     def norm_data(self, order: int, a: float, b: float) -> NormData:
         """The exact norms of f^(order) on [a, b]; l2 and sigma None where not
-        finite.  l1 reads one ``_primitive`` column, at a, b and the zeros,
-        and the mean rate comes from its ends (``_rate``)."""
+        finite, as where ``_l2_sq`` raises OverflowError.  l1 reads one
+        ``_primitive`` column, at a, b and the zeros, and the mean rate comes
+        from its ends (``_rate``)."""
         check_int("derivative order", order, 1)
         a, b = check_interval(a, b)
         stationary, zeros = self._critical_points(order, a, b)
@@ -131,7 +132,10 @@ class AnalyticFunction:
 
         at_cuts = self._primitive(order, a)(sorted({a, b, *zeros}))
         l1 = math.fsum(abs(right - left) for left, right in zip(at_cuts, at_cuts[1:]))
-        l2_sq = self._l2_sq(order, a, b)
+        try:
+            l2_sq = self._l2_sq(order, a, b)
+        except OverflowError:  # beyond the float range, as an l2^2 overflowed to inf
+            l2_sq = math.inf
         rate = self._rate(order, a, b, at_cuts)
         sigma = l2_sq - rate * rate * (b - a)
         return NormData(

@@ -215,7 +215,7 @@ def _rule_panels(
     theta, n = spec.theta, spec.n
     if perturbed and n % 2 == 1:
         raise ValidationError(f"the perturbed rule needs even n, got n={n}")
-    one_sided = certificate == "band" and bounds._band_reads_rate(band, n)  # before any read
+    one_sided = bounds.reads_rate(certificate, n, band)  # before any read
     # the spec of each panel width: spec itself if as wide, else kept with spec across calls
     specs = _Memo(lambda w: spec if w == spec.width else spec._panels(panels)[w])
     certs = _Memo(lambda w: bounds.certify(specs[w], certificate, norms, band))
@@ -359,17 +359,6 @@ class SharpnessReport:
     end_to_end_error: float | None = None
 
 
-def _exact_value(coeffs: list, u):
-    """sum(c_j u^j); u = 0 reads c_0, m leading zeros cost one power u^m."""
-    if not u:
-        return coeffs[0]
-    m = next((j for j, c in enumerate(coeffs) if c), len(coeffs) - 1)
-    acc = coeffs[-1]
-    for c in reversed(coeffs[m:-1]):
-        acc = acc * u + c
-    return acc * u**m if m else acc
-
-
 def _extremal_pieces(spec: RuleSpec) -> tuple[list[tuple[list, list]], tuple[list, list]]:
     """(pieces, F): the extremal integrand f of ``spec`` in Fractions.
 
@@ -395,7 +384,7 @@ def _extremal_pieces(spec: RuleSpec) -> tuple[list[tuple[list, list]], tuple[lis
     pieces = [(left, right)]
     for _ in range(n + 1):  # orders n-1 .. 0, then F
         left = _antiderivative_coeffs(left, 0)
-        right = _antiderivative_coeffs(right, _exact_value(left, h))
+        right = _antiderivative_coeffs(right, sum(c * h**j for j, c in enumerate(left)))
         pieces.append((left, right))
     antiderivative = pieces.pop()
     pieces.reverse()
@@ -466,11 +455,11 @@ def sharpness_check(spec: RuleSpec, end_to_end: bool = False) -> SharpnessReport
     equals lhs bit for bit.  An interval so narrow that rhs underflows to
     0.0 leaves the ratio undefined and raises ValidationError.
     """
-    lhs = kernel_stats_brute(spec).centered_l2_sq
     norms = bounds.NormData(sigma=spec.stats.centered_l2_sq, provenance="exact")
     rhs = bounds.certify(spec, "sharp", norms).bound
     if rhs == 0.0:
         raise ValidationError(f"the sharp bound of {spec} underflows to 0.0; lhs/rhs is undefined")
+    lhs = kernel_stats_brute(spec).centered_l2_sq  # after the closed form names its overflow
     return SharpnessReport(
         n=spec.n,
         theta=spec.theta,

@@ -20,8 +20,9 @@ certificate in ``bounds`` is one ``KernelStats`` field times a norm datum;
 K itself is the n-th derivative of ``integrate.extremal_integrand``.
 
 The closed form raises OverflowError where (n!)^2 or (b - a)^(2n+1)
-overflows a float: at every n >= 99, and at lower n on intervals so wide that
-(b - a)^(2n+1) exceeds 1.8e308.  Everything that reads it raises there too.
+overflows a float: at every n >= 99, checked before n! is formed, and at
+lower n on intervals so wide that (b - a)^(2n+1) exceeds 1.8e308.
+Everything that reads it raises there too.
 From n = 85 on, the denominator of int K^2 overflows a float, so the closed
 form divides (n!)^2 out of (b - a)^(2n+1) first.
 """
@@ -137,6 +138,8 @@ def kernel_stats_closed(spec: RuleSpec) -> KernelStats:
     """
     n, theta, w = spec.n, spec.theta, spec.width
     try:
+        if n > 98:  # (n!)^2 overflows at every width: raise before forming n!
+            raise OverflowError
         fact = float(math.factorial(n))
         scale = fact * 2.0**n
         w_n1, w_2n1 = w ** (n + 1), w ** (2 * n + 1)

@@ -171,13 +171,22 @@ def _mean_rate(column: Callable, n: int, a: float, b: float) -> float:
 def _coefficients(theta, n: int) -> _Memo:
     """The correction coefficients of each panel width w, one per order
     2i = 2, 4, ... < n: (1 - theta k) w^k / (k! 4^i) with k = 2i + 1, so
-    theta = 1/3 zeroes the first (Simpson) and theta = 1/5 the second."""
+    theta = 1/3 zeroes the first (Simpson) and theta = 1/5 the second; in
+    floats none raises OverflowError for n <= 150 where w^n is finite."""
     return _Memo(partial(_coefficients_of_width, theta, n))
 
 
 def _coefficients_of_width(theta, n: int, w) -> list:
-    return [(1 - theta * k) * w**k / (math.factorial(k) * 4 ** (k // 2))
-            for k in range(3, n + 1, 2)]
+    coefficients = []
+    for k in range(3, n + 1, 2):
+        try:
+            coefficients.append((1 - theta * k) * w**k / (math.factorial(k) * 4 ** (k // 2)))
+        except OverflowError:  # k! 4^((k-1)/2) from k = 151, or w^k
+            raise OverflowError(
+                f"the correction coefficient of order k={k} at n={n} on a panel of width {w!r} "
+                f"overflows a float; the rule is supported for n <= 150 with w^n < 1.8e308"
+            ) from None
+    return coefficients
 
 
 def _rule_terms(column: Callable, theta, n: int, los: list, his: list, widths: list,

@@ -334,12 +334,28 @@ def test_band_rate_from_norms_keeps_its_provenance(n, band):
 
 
 def test_reads_rate_is_false_only_for_two_sided_odd_bands():
-    two_sided, half = DerivativeBand(0.0, 1.0, 3), DerivativeBand(0.0, math.inf, 3)
+    def bands(n):
+        return DerivativeBand(0.0, 1.0, n), DerivativeBand(0.0, math.inf, n)
+
+    two_sided, half = bands(3)
     assert not bounds.reads_rate("band", 3, two_sided)
     assert bounds.reads_rate("band", 3, half)
+    two_sided, half = bands(2)
     assert bounds.reads_rate("band", 2, two_sided) and bounds.reads_rate("band", 2, half)
     for kind in ("l1", "l2", "linf", "sharp", None):
         assert not bounds.reads_rate(kind, 2, two_sided)
+        assert not bounds.reads_rate(kind, 3, None)
+
+
+@pytest.mark.parametrize("band, match", [(None, "needs a DerivativeBand"),
+                                         (DerivativeBand(0.0, 1.0, 3), "order 3, rule expects 2")])
+def test_reads_rate_refuses_a_missing_or_wrong_order_band(band, match):
+    """The one band decision checks the band first, for certify, the panel
+    loop and the CLI alike."""
+    with pytest.raises(ValidationError, match=match):
+        bounds.reads_rate("band", 2, band)
+    with pytest.raises(ValidationError, match=match):
+        certify(spec(0.5, 2), "band", NormData(endpoint_diff_rate=0.5), band)
 
 
 def test_tied_sides_pick_the_lower_edge():

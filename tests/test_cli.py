@@ -653,3 +653,54 @@ def test_python_dash_m_runs_the_cli(capsys):
     assert proc.returncode == 0
     assert proc.stdout == capsys.readouterr().out.encode("utf-8")
     assert child(["kernel", "--n", "0", "--theta", "0.5", "--a", "0", "--b", "1"]).returncode == 2
+
+
+_KERNEL_RANGE = "overflow a float; the closed form is supported for n <= 98"
+_RULE_RANGE = "overflows a float; the rule is supported for n <= 150 with w^n < 1.8e308"
+
+
+@pytest.mark.parametrize("command, named", [
+    ("integrate --f exp --n 2 --theta 0.5 --a 0 --b 1 --panels 100000000",
+     "--panels is at most 2**20 = 1048576, got 100000000"),
+    ("kernel --n 1000000 --theta 0.5 --a 0 --b 1",
+     f"kernel statistics at n=1000000 on an interval of width 1.0 {_KERNEL_RANGE}"),
+    ("kernel --n 10000000 --theta 0.5 --a 0 --b 1",
+     f"kernel statistics at n=10000000 on an interval of width 1.0 {_KERNEL_RANGE}"),
+    ("sharpness --n 200000 --theta 0.5 --a 0 --b 1",
+     f"kernel statistics at n=200000 on an interval of width 1.0 {_KERNEL_RANGE}"),
+    ("sharpness --n 2 --theta 0.5 --a 0 --b 1e300",
+     f"kernel statistics at n=2 on an interval of width 1e+300 {_KERNEL_RANGE}"),
+    ("bound --bound l1 --f exp --n 1 --theta 0.5 --a 0 --b 400", None),
+    ("bound --bound l2 --f exp --n 1 --theta 0.5 --a 0 --b 400",
+     "the l2 of exp on [0.0, 400.0] is not finite in floats; supply it with --l2"),
+    ("integrate --f exp --n 151 --theta 0.5 --a 0 --b 1",
+     f"the correction coefficient of order k=151 at n=151 on a panel of width 1.0 {_RULE_RANGE}"),
+    ("integrate --f poly:1,2 --n 105 --theta 0.5 --a 0 --b 1000",
+     f"the correction coefficient of order k=103 at n=105 on a panel of width 1000.0 "
+     f"{_RULE_RANGE}"),
+    ("sweep --f runge --n 120 --theta-grid 0:0.5:1 --a 0 --b 1",
+     f"kernel statistics at n=120 on an interval of width 1.0 {_KERNEL_RANGE}"),
+])
+def test_extreme_input_fails_fast_with_a_named_exit_code(command, named):
+    """Oversized orders, panel counts and widths end in a child interpreter
+    limited to 1 GB of address space, in under 2 s of CPU, with exit 0, 2 or
+    3 and no traceback; each refusal names its cause (``named`` None: exit 0)."""
+    resource = pytest.importorskip("resource")  # RLIMIT_AS and child CPU time: POSIX only
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run(
+        [sys.executable, "-m", "thetaquad.cli", *command.split()], capture_output=True,
+        text=True, env=env, timeout=20, preexec_fn=limit,
+    )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 2.0
+    assert proc.returncode in (0, 2, 3) and "Traceback" not in proc.stderr, proc.stderr
+    if named is None:
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    else:
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert named in proc.stderr

@@ -516,6 +516,17 @@ def test_norm_data_reads_the_primitive_at_its_cuts_in_one_column(fn, monkeypatch
             assert [xs for k, xs in calls if k == order - 1] == [cuts], (order, a, b)
 
 
+@pytest.mark.parametrize("fn, order, b", [(Exponential(), 1, 400.0), (Runge(), 120, 1.0),
+                                          (Sine(1e6), 30, 1e-3)], ids=lambda v: repr(v))
+def test_norm_data_keeps_every_datum_floats_form_where_l2_overflows(fn, order, b):
+    """exp(2b), (k!)^2 and omega^(2k) leave the float range inside _l2_sq:
+    l2 and sigma are None, and l1, linf and the rate are kept."""
+    norms = fn.norm_data(order, 0.0, b)
+    assert norms.l2 is None and norms.sigma is None
+    assert math.isfinite(norms.l1) and math.isfinite(norms.linf)
+    assert norms.endpoint_diff_rate == fn.endpoint_diff_rate(order, 0.0, b)
+
+
 def test_a_band_that_overflows_names_its_interval():
     with pytest.raises(OverflowError, match=r"^exp: derivative of order 2 overflows a float "
                                             r"on \[0\.0, 800\.0\]$"):

@@ -44,7 +44,6 @@ from thetaquad.integrate import (
     _GL_NODES,
     _GL_WEIGHTS,
     MAX_ORACLE_PANELS,
-    _exact_value,
     _extremal_pieces,
     _rule_panels,
 )
@@ -54,6 +53,10 @@ thetas = st.floats(min_value=0.0, max_value=1.0)
 
 def spec(theta, n, a=0.0, b=1.0):
     return RuleSpec(theta=theta, n=n, a=a, b=b)
+
+
+def exact_value(coeffs, u):
+    return sum(c * u**j for j, c in enumerate(coeffs))
 
 
 def plain(fn):
@@ -1276,7 +1279,7 @@ def test_extremal_pieces_are_a_continuous_derivative_chain():
                 assert [k * c for k, c in enumerate(low)][1:] == up
         for left, right in chain[:-1]:
             assert left[0] == 0
-            assert _exact_value(left, h) == right[0]
+            assert exact_value(left, h) == right[0]
 
 
 def test_end_to_end_node_values_are_the_extremal_pieces(monkeypatch):
@@ -1302,8 +1305,8 @@ def test_end_to_end_node_values_are_the_extremal_pieces(monkeypatch):
             h = (b - a) / 2
             for order, (left, right) in enumerate([antiderivative, *pieces[:n]], start=-1):
                 assert derivative(order, a) == left[0] == 0, (s, order)
-                assert derivative(order, a + h) == _exact_value(left, h) == right[0], (s, order)
-                assert derivative(order, b) == _exact_value(right, h), (s, order)
+                assert derivative(order, a + h) == exact_value(left, h) == right[0], (s, order)
+                assert derivative(order, b) == exact_value(right, h), (s, order)
 
 
 def test_extremal_pieces_start_from_the_kernel_halves():
@@ -1312,9 +1315,9 @@ def test_extremal_pieces_start_from_the_kernel_halves():
     h = Fraction(s.b - s.a) / 2
     c = Fraction(s.theta) * 3 * h
     for u in (Fraction(1, 8), Fraction(3, 4), h):
-        assert _exact_value(left, u) == u**2 * (u - c) / 6
+        assert exact_value(left, u) == u**2 * (u - c) / 6
         v = u - h  # x - b on the right half, at x - mid = u
-        assert _exact_value(right, u) == v**2 * (v + c) / 6
+        assert exact_value(right, u) == v**2 * (v + c) / 6
 
 
 def test_extremal_integrand_realizes_the_kernel():

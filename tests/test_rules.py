@@ -235,6 +235,18 @@ def test_odd_orders_never_carry_a_perturbation(theta, n):
         assert res.perturbation_term is not None
 
 
+@pytest.mark.parametrize("n, b, k", [(151, 1.0, 151), (105, 1000.0, 103)])
+def test_an_overflowing_correction_coefficient_names_the_range(n, b, k):
+    """The plain rule keeps its range to n = 150 on widths where w^n is finite;
+    past it the coefficient's overflow names k, n, the width and that range."""
+    f = PolynomialFunction((1.0, 2.0)).integrand(0.0, b)
+    assert math.isfinite(apply_rule(f, spec(0.5, 149)).f_n_value)
+    message = (f"the correction coefficient of order k={k} at n={n} on a panel of width {b!r} "
+               f"overflows a float; the rule is supported for n <= 150 with w^n < 1.8e308")
+    with pytest.raises(OverflowError, match=re.escape(message)):
+        apply_rule(f, spec(0.5, n, b=b))
+
+
 # ---------------------------------------------------------------- Peano identity
 
 
